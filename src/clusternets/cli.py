@@ -33,8 +33,8 @@ from .phylo import load_marker_bundle, load_sweep_spec, sweep
 from .simplicial import (
     build_complex,
     check_compatibility,
-    complex_json,
     complex_json_dict,
+    dimension_json_dict,
     network_dimension,
     skeleton_dot,
 )
@@ -83,6 +83,10 @@ def _network_from_paths(paths: list[str]) -> ClusterNetwork:
         raise InputError(str(exc)) from None
 
 
+def _dump(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _write_output(payload: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(payload)
@@ -121,17 +125,7 @@ def _parse_weights(arg: str, p: int, d: int) -> tuple:
         raise InputError(str(exc)) from None
     if len(q) != d:
         raise InputError(f"got {len(q)} weights for dimension {d}")
-    for x in q:
-        if not (0 < x <= 1) or x * p <= 1:
-            raise InputError(f"weight {x} outside (1/{p}, 1]")
     return q
-
-
-def cmd_cluster(args) -> int:
-    net = _network_from_paths([args.matrix])
-    _write_output(to_dot(net) if args.format == "dot" else to_json(net), args.out)
-    _emit_meta(args)
-    return 0
 
 
 def cmd_network(args) -> int:
@@ -149,7 +143,7 @@ def cmd_complex(args) -> int:
     if args.format == "dot":
         payload = skeleton_dot(cx)
     else:
-        payload = complex_json(cx, network_dimension(net, subfamily), compat)
+        payload = _dump(complex_json_dict(cx, network_dimension(net, subfamily), compat))
     _write_output(payload, args.out)
     _emit_meta(args)
     return 0
@@ -158,10 +152,8 @@ def cmd_complex(args) -> int:
 def cmd_dimension(args) -> int:
     net = _network_from_paths(args.matrices)
     subfamily = _parse_subfamily(args.r, net.metric_ids)
-    cx = build_complex(net, subfamily)
-    doc = complex_json_dict(cx, network_dimension(net, subfamily), check_compatibility(net))
-    doc.pop("simplices")
-    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    doc = dimension_json_dict(network_dimension(net, subfamily), check_compatibility(net))
+    _write_output(_dump(doc), args.out)
     _emit_meta(args)
     return 0
 
@@ -173,10 +165,16 @@ def cmd_padic_verify(args) -> int:
         raise InputError(str(exc)) from None
     if args.d < 1:
         raise InputError(f"dimension must be positive, got {args.d}")
+    if args.precision < 1:
+        raise InputError(f"precision must be at least 1, got {args.precision}")
     if args.q is None:
         q = default_weights(args.p, args.d)
     else:
         q = _parse_weights(args.q, args.p, args.d)
+    for x in q:
+        if not (0 < x <= 1) or x * args.p <= 1:
+            hint = "" if args.q else "; the default weights need d < p^2, so pass --q"
+            raise InputError(f"weight {x} outside (1/{args.p}, 1]{hint}")
     if len(set(q)) == len(q):
         ordered = tuple(sorted(q))
         if ordered != tuple(q):
@@ -210,7 +208,7 @@ def cmd_padic_verify(args) -> int:
             "metrics": len(net.metric_ids),
             "dimension": dim.overall,
         }
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(_dump(report), args.out)
     _emit_meta(args)
     return 0
 
@@ -243,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("cluster", help="dendrogram of one distance matrix")
-    s.add_argument("matrix", help="CSV path or - for stdin")
+    s.add_argument("matrices", nargs=1, metavar="matrix", help="CSV path or - for stdin")
     _add_common(s)
-    s.set_defaults(func=cmd_cluster)
+    s.set_defaults(func=cmd_network)
 
     s = subs.add_parser("network", help="fuse dendrograms of several matrices")
     s.add_argument("matrices", nargs="+", help="CSV paths")

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+# chain_distance is unused here; bench/replay.py wraps it as dendrogram.chain_distance
 from .metric import (
     DistanceMatrix,
     Partition,
     Rational,
-    UltrametricMatrix,
     as_fraction,
     chain_distance,
-    epsilon_components,
+    single_linkage,
 )
 
 
@@ -86,12 +86,6 @@ class Dendrogram:
     def member_names(self, cluster: Cluster) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in mask_members(cluster.members))
 
-    def cluster_index(self, members: int) -> int:
-        for i, c in enumerate(self.clusters):
-            if c.members == members:
-                return i
-        raise LookupError(f"no cluster with members mask {members:b}")
-
     def leaves(self) -> Iterator[int]:
         parents = {p for p in self.parent if p is not None}
         for i in range(len(self.clusters)):
@@ -99,44 +93,33 @@ class Dendrogram:
                 yield i
 
 
-def _canonical_cluster_order(labels, clusters: list[Cluster]) -> list[Cluster]:
-    def key(c: Cluster):
-        names = tuple(labels[i] for i in mask_members(c.members))
-        return (c.size, names)
-
-    return sorted(clusters, key=key)
-
-
 def build_dendrogram(dm: DistanceMatrix) -> Dendrogram:
-    """Collect the components at every threshold into the cluster tree.
+    """Read the cluster tree off one single-linkage pass.
 
-    The cluster set is { components of the threshold graph at t } for t
-    ranging over 0 and the distinct chain-distance values; the partial order
-    is set inclusion, with an edge for each pair nested without
-    intermediaries.
+    The components after the zero tie group are the leaves (radius 0).
+    Every later merge forms a cluster whose radius is the merge value and
+    whose children are the components it joined, so each cluster is a
+    component of the threshold graph at its radius, and its parent is the
+    smallest cluster strictly containing it.
     """
-    um = dm if isinstance(dm, UltrametricMatrix) else chain_distance(dm)
-    n = um.n
-    thresholds = sorted({Fraction(0)} | {um.entries[i][j] for i in range(n) for j in range(i + 1, n)})
-    seen: dict[int, Fraction] = {}
-    for t in thresholds:
-        for block in epsilon_components(um, t).blocks:
-            mask = mask_of(block)
-            if mask not in seen:
-                seen[mask] = t
-    clusters = _canonical_cluster_order(
-        um.labels, [Cluster(m, r) for m, r in seen.items()]
+    radius = {1 << i: Fraction(0) for i in range(dm.n)}
+    parent_of: dict[int, int] = {}
+    for value, parts in single_linkage(dm):
+        masks = [mask_of(part) for part in parts]
+        whole = mask_of(x for part in parts for x in part)
+        radius[whole] = value
+        for mask in masks:
+            if value == 0:
+                del radius[mask]
+            else:
+                parent_of[mask] = whole
+    clusters = sorted(  # canonical order: size, then member names
+        (Cluster(m, r) for m, r in radius.items()),
+        key=lambda c: (c.size, [dm.labels[i] for i in mask_members(c.members)]),
     )
-    parent: list[int | None] = []
-    for i, c in enumerate(clusters):
-        par = None
-        for j in range(i + 1, len(clusters)):
-            cand = clusters[j]
-            if cand.size > c.size and cand.contains(c):
-                par = j
-                break
-        parent.append(par)
-    return Dendrogram(um.labels, tuple(clusters), tuple(parent))
+    index = {c.members: i for i, c in enumerate(clusters)}
+    parent = tuple(index.get(parent_of.get(c.members)) for c in clusters)
+    return Dendrogram(dm.labels, tuple(clusters), parent)
 
 
 def sup_cluster(dendro: Dendrogram, a: str, b: str) -> Cluster:

@@ -22,6 +22,8 @@ Rational = Fraction | int | str
 
 def as_fraction(value: Rational) -> Fraction:
     """Parse a decimal or `p/q` literal into an exact rational."""
+    if type(value) is Fraction:
+        return value  # immutable, so it can be shared as is
     if isinstance(value, float):
         raise StructuralError(f"refusing float value {value!r}; pass a string or Fraction")
     try:
@@ -166,6 +168,8 @@ class DistanceMatrix:
                 raise StructuralError(
                     f"row {cells[0]!r} has {len(cells) - 1} values, expected {len(names)}"
                 )
+            if cells[0] in rows:
+                raise StructuralError(f"repeated row label {cells[0]!r}")
             rows[cells[0]] = cells[1:]
         if sorted(rows) != sorted(names):
             raise StructuralError(
@@ -293,33 +297,70 @@ def epsilon_components(dm: DistanceMatrix, eps: Rational) -> Partition:
     return _canonical_blocks(n, groups.values())
 
 
+def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, ...], ...]]]:
+    """Exact single-linkage merge history: `(value, parts)` for every
+    component that forms, in ascending value, with `parts` the sorted
+    point-index tuples of the components it joins. A tie group is linked
+    whole before anything is recorded, so A-B and B-C at one value give one
+    merge of A, B and C. Distinct values are sorted once (floor(v * 2**64)
+    decides in int arithmetic, the Fraction breaks ties) and the pairs are
+    bucketed by rank.
+    """
+    n = dm.n
+    entries = dm.entries
+    values = sorted(
+        {entries[i][j] for i in range(n) for j in range(i + 1, n)},
+        key=lambda v: ((v.numerator << 64) // v.denominator, v),
+    )
+    rank = {v: r for r, v in enumerate(values)}
+    buckets: list[list[tuple[int, int]]] = [[] for _ in values]
+    for i in range(n):
+        for j in range(i + 1, n):
+            buckets[rank[entries[i][j]]].append((i, j))
+    parent = list(range(n))
+    members = {i: (i,) for i in range(n)}  # root -> its component's points
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = []
+    for value, bucket in zip(values, buckets):
+        # roots only ever link to roots, so every root met here was one before
+        touched: set[int] = set()
+        for i, j in bucket:
+            a, b = find(i), find(j)
+            if a != b:
+                parent[a] = b
+                touched.update((a, b))
+        joined: dict[int, list[tuple[int, ...]]] = {}
+        for c in touched:
+            joined.setdefault(find(c), []).append(members.pop(c))
+        for root, parts in joined.items():
+            merges.append((value, tuple(sorted(parts))))
+            members[root] = tuple(sorted(x for part in parts for x in part))
+    return merges
+
+
 def chain_distance(dm: DistanceMatrix) -> UltrametricMatrix:
     """Minimax path closure: the largest ultrametric below the input.
 
     d(a,b) is the minimum over paths a -> b of the maximum edge weight along
-    the path, computed by single-linkage merging (edges in ascending order;
-    when two components join at weight w, every cross pair gets w).
+    the path. It is read off the single-linkage pass: when components join
+    at value w, every cross pair gets w.
     """
     n = dm.n
-    entries = dm.entries
     result = [[Fraction(0)] * n for _ in range(n)]
-    edges = sorted(
-        (entries[i][j], i, j) for i in range(n) for j in range(i + 1, n)
-    )
-    components: dict[int, list[int]] = {i: [i] for i in range(n)}
-    comp_of = list(range(n))
-    for w, i, j in edges:
-        ci, cj = comp_of[i], comp_of[j]
-        if ci == cj:
-            continue
-        small, big = (ci, cj) if len(components[ci]) <= len(components[cj]) else (cj, ci)
-        for a in components[small]:
-            for b in components[big]:
-                result[a][b] = w
-                result[b][a] = w
-        for a in components[small]:
-            comp_of[a] = big
-        components[big].extend(components.pop(small))
+    for value, parts in single_linkage(dm):
+        for k, part in enumerate(parts):
+            for other in parts[k + 1 :]:
+                for a in part:
+                    row = result[a]
+                    for b in other:
+                        row[b] = value
+                        result[b][a] = value
     return UltrametricMatrix(dm.labels, result, _checked=True)
 
 

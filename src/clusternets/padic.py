@@ -54,13 +54,6 @@ def pval(x: Fraction | int, p: int) -> int:
     return v
 
 
-def pabs(x: Fraction | int, p: int) -> Fraction:
-    """p-adic absolute value |x|_p = p^(-val)."""
-    if x == 0:
-        return Fraction(0)
-    return Fraction(p) ** (-pval(x, p))
-
-
 def _residue(x: Fraction, exponent: int, p: int) -> Fraction:
     """Truncated p-adic expansion of x modulo p^exponent.Z_p."""
     if x == 0:
@@ -226,9 +219,6 @@ class Lattice:
 
     def index_valuation(self) -> int:
         return sum(self.exponents)
-
-    def lattice_class(self) -> "LatticeClass":
-        return LatticeClass.of(self)
 
     def describe(self) -> dict:
         return {
@@ -414,8 +404,8 @@ def lattices_between(lattice: Lattice) -> list[Lattice]:
 
 def is_adjacent(first: Lattice | LatticeClass, second: Lattice | LatticeClass) -> bool:
     """Building adjacency: some rescaling of one strictly between p.other and other."""
-    a = first if isinstance(first, LatticeClass) else first.lattice_class()
-    b = second if isinstance(second, LatticeClass) else second.lattice_class()
+    a = first if isinstance(first, LatticeClass) else LatticeClass.of(first)
+    b = second if isinstance(second, LatticeClass) else LatticeClass.of(second)
     if a.p != b.p or a.representative.dimension != b.representative.dimension:
         raise StructuralError("lattices live in different spaces")
     if a == b:
@@ -470,10 +460,6 @@ class NormSpec:
     @property
     def dimension(self) -> int:
         return len(self.q)
-
-    @property
-    def generic(self) -> bool:
-        return len(set(self.q)) == len(self.q)
 
     def eval(self, z: Sequence) -> Fraction:
         w = mat_vec(self.matrix, [Fraction(x) for x in z])

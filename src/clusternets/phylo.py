@@ -57,21 +57,18 @@ def weight_vector(values) -> tuple[Fraction, ...]:
 
 
 def combine(markers: MarkerSet, weights) -> DistanceMatrix:
-    """Entrywise weighted sum of the marker matrices."""
+    """Entrywise weighted sum of the (symmetric) marker matrices: the upper
+    triangle is summed, then mirrored."""
     w = weight_vector(weights)
     if len(w) != len(markers):
         raise StructuralError(f"{len(w)} weights for {len(markers)} markers")
-    labels = markers.labels
-    n = len(labels)
+    terms = [(wj, dm.entries) for wj, (_, dm) in zip(w, markers.markers) if wj]
+    n = len(markers.labels)
     total = [[Fraction(0)] * n for _ in range(n)]
-    for wj, (_, dm) in zip(w, markers.markers):
-        if wj == 0:
-            continue
-        for i in range(n):
-            row = dm.entries[i]
-            for j in range(n):
-                total[i][j] += wj * row[j]
-    return DistanceMatrix(labels, total)
+    for i in range(n):
+        for j in range(i + 1, n):
+            total[i][j] = total[j][i] = sum(wj * e[i][j] for wj, e in terms)
+    return DistanceMatrix(markers.labels, total)
 
 
 @dataclass(frozen=True)

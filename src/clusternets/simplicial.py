@@ -10,10 +10,10 @@ length minus one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .dendrogram import mask_members
 from .errors import AmbiguousSuperballError
 from .network import ClusterNetwork, NetworkVertex, is_r_ball, minimal_common_superball
 
@@ -80,7 +80,7 @@ def check_compatibility(net: ClusterNetwork) -> CompatibilityReport:
     violations = []
 
     def names(mask: int) -> list[str]:
-        return [net.labels[i] for i in _bits(mask)]
+        return [net.labels[i] for i in mask_members(mask)]
 
     for a in net.vertices:
         for b in net.vertices:
@@ -99,15 +99,6 @@ def check_compatibility(net: ClusterNetwork) -> CompatibilityReport:
                 }
             )
     return CompatibilityReport(not violations, tuple(violations))
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 def intermediary_chain(
@@ -164,6 +155,21 @@ def build_complex(net: ClusterNetwork, r: frozenset[str] | set[str]) -> Simplici
     """
     r = frozenset(r)
     found: dict[tuple[int, ...], Simplex] = {}
+    pairs, skipped = _superball_pairs(net, r)
+    for v, j in pairs:
+        for s in simplices_for_pair(net, v, j, r):
+            if s.vertex_ids not in found:
+                found[s.vertex_ids] = s
+    simplices = tuple(sorted(found.values(), key=lambda s: (len(s.vertex_ids), s.vertex_ids)))
+    return SimplicialComplex(net, r, simplices, skipped)
+
+
+def _superball_pairs(
+    net: ClusterNetwork, r: frozenset[str]
+) -> tuple[list[tuple[NetworkVertex, NetworkVertex]], tuple[int, ...]]:
+    """Each r-ball with its minimal common superball, and the ids of the
+    r-balls whose superball is ambiguous."""
+    pairs = []
     skipped: list[int] = []
     for v in net.vertices:
         if not is_r_ball(net, v, r):
@@ -173,13 +179,9 @@ def build_complex(net: ClusterNetwork, r: frozenset[str] | set[str]) -> Simplici
         except AmbiguousSuperballError:
             skipped.append(v.vertex_id)
             continue
-        if j is None:
-            continue
-        for s in simplices_for_pair(net, v, j, r):
-            if s.vertex_ids not in found:
-                found[s.vertex_ids] = s
-    simplices = tuple(sorted(found.values(), key=lambda s: (len(s.vertex_ids), s.vertex_ids)))
-    return SimplicialComplex(net, r, simplices, tuple(skipped))
+        if j is not None:
+            pairs.append((v, j))
+    return pairs, tuple(skipped)
 
 
 def r_dimension(
@@ -199,38 +201,19 @@ def r_dimension(
 def network_dimension(net: ClusterNetwork, r: frozenset[str] | set[str]) -> DimensionReport:
     """Per-pair r-dimensions for every valid (ball, superball) pair."""
     r = frozenset(r)
-    per_pair = []
-    skipped: list[int] = []
-    for v in net.vertices:
-        if not is_r_ball(net, v, r):
-            continue
-        try:
-            j = minimal_common_superball(net, v, r)
-        except AmbiguousSuperballError:
-            skipped.append(v.vertex_id)
-            continue
-        if j is None:
-            continue
-        per_pair.append(((v.vertex_id, j.vertex_id), r_dimension(net, v, j, r)))
-    per_pair.sort()
+    pairs, skipped = _superball_pairs(net, r)
+    per_pair = sorted(
+        ((v.vertex_id, j.vertex_id), r_dimension(net, v, j, r)) for v, j in pairs
+    )
     overall = max((dim for _, dim in per_pair), default=0)
-    return DimensionReport(r, tuple(per_pair), overall, tuple(skipped))
+    return DimensionReport(r, tuple(per_pair), overall, skipped)
 
 
-def complex_json_dict(
-    cx: SimplicialComplex,
-    report: DimensionReport,
-    compatibility: CompatibilityReport | None = None,
+def dimension_json_dict(
+    report: DimensionReport, compatibility: CompatibilityReport | None = None
 ) -> dict:
+    """Dimension report plus warnings, without enumerating any simplex."""
     out: dict = {
-        "simplices": [
-            {
-                "vertices": list(s.vertex_ids),
-                "metric": s.metric,
-                "anchor": list(s.anchor),
-            }
-            for s in cx.simplices
-        ],
         "dimension": {
             "overall": report.overall,
             "pairs": [
@@ -240,8 +223,8 @@ def complex_json_dict(
         },
     }
     warnings: dict = {}
-    if cx.skipped_ambiguous:
-        warnings["ambiguous_superballs"] = list(cx.skipped_ambiguous)
+    if report.skipped_ambiguous:
+        warnings["ambiguous_superballs"] = list(report.skipped_ambiguous)
     if compatibility is not None and not compatibility.compatible:
         warnings["incompatible_intersections"] = [dict(v) for v in compatibility.violations]
     if warnings:
@@ -249,8 +232,17 @@ def complex_json_dict(
     return out
 
 
-def complex_json(cx, report, compatibility=None) -> str:
-    return json.dumps(complex_json_dict(cx, report, compatibility), indent=2, sort_keys=True) + "\n"
+def complex_json_dict(
+    cx: SimplicialComplex,
+    report: DimensionReport,
+    compatibility: CompatibilityReport | None = None,
+) -> dict:
+    out = dimension_json_dict(report, compatibility)
+    out["simplices"] = [
+        {"vertices": list(s.vertex_ids), "metric": s.metric, "anchor": list(s.anchor)}
+        for s in cx.simplices
+    ]
+    return out
 
 
 def skeleton_dot(cx: SimplicialComplex) -> str:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from jsonschema import Draft202012Validator
 
 import clusternets
@@ -54,6 +56,13 @@ class TestCluster:
         code, _, err = run(["cluster", str(bad)], capsys)
         assert code == 2
         assert "expected" in json.loads(err)["error"]["message"]
+
+    def test_repeated_row_label_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "dup.csv"
+        bad.write_text("label,A,B\nA,0,7\nA,0,1\nB,1,0\n")
+        code, out, err = run(["cluster", str(bad)], capsys)
+        assert code == 2 and not out
+        assert "repeated row label 'A'" in json.loads(err)["error"]["message"]
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(["cluster", "no/such/file.csv"], capsys)
@@ -217,6 +226,29 @@ class TestPadicVerify:
         )
         assert code == 2
 
+    def test_invalid_default_weights_exit_2_before_enumeration(self, capsys, monkeypatch):
+        import clusternets.cli as cli_mod
+
+        def enumerate_chains(*args, **kwargs):
+            raise AssertionError("chains enumerated before the weights were checked")
+
+        monkeypatch.setattr(cli_mod, "verify_correspondence", enumerate_chains)
+        # at d >= p^2 the default weights reach 1/p, outside (1/p, 1]
+        code, out, err = run(["padic-verify", "--p", "2", "--d", "4"], capsys)
+        assert code == 2 and not out
+        message = json.loads(err)["error"]["message"]
+        assert "1/2 outside (1/2, 1]" in message and "--q" in message
+
+    def test_precision_below_one_exit_2(self, capsys):
+        for precision in ("0", "-5"):
+            code, out, err = run(
+                ["padic-verify", "--p", "2", "--d", "2", "--q", "3/5,4/5",
+                 "--precision", precision],
+                capsys,
+            )
+            assert code == 2 and not out
+            assert "precision" in json.loads(err)["error"]["message"]
+
     def test_unsorted_weights_exit_2_with_hint(self, capsys):
         code, _, err = run(
             ["padic-verify", "--p", "2", "--d", "2", "--q", "4/5,3/5"], capsys
@@ -246,6 +278,35 @@ class TestPhyloSweep:
         )
         assert code == 2
         assert "zero" in json.loads(err)["error"]["message"]
+
+
+# SHA-256 of payloads on tests/data, captured before the single-linkage pass
+# replaced the per-threshold build; a changed hash is a changed output.
+GOLDEN = {
+    ("network", "trio_a.csv", "trio_b.csv"):
+        "434b6b031d3d50a2ab9d25b11e96da384ec36ce94ccb2d95e9e9ed63c389a6b0",
+    ("network", "quad_a.csv", "quad_b.csv"):
+        "a94740b9785bfe2036e70d16eb0957f1e29f7ea8a5220d14a6df77daabbe2f1d",
+    ("network", "incompat_1.csv", "incompat_2.csv"):
+        "5a8971b5fa454b5b32a0f24f0ae06dbeb6c39e494ddd5ab0d577ce11ec36b87a",
+    ("phylo-sweep", "markers/manifest.json", "markers/sweep_units.json"):
+        "e08eaa6cacc3a7ad272e0ad80104bd445a5e6a125efeaa9e7e763ec3a9165cb1",
+    ("phylo-sweep", "markers/manifest.json", "markers/sweep_simplex.json"):
+        "33afa70be5f1cd4b9e85d0a81b48ad2bd49458d06c04a99178fcba09d117c3d7",
+    ("dimension", "trio_a.csv", "trio_b.csv"):
+        "b3aa5e4a56f6ecbed59d36dc106174117a9b34b7d398211101b547f6f5dce7e5",
+    ("dimension", "incompat_1.csv", "incompat_2.csv"):
+        "09dd24468fee7f0ae06f979a77dafe162b025e24272c497aa77b1d187460ab95",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_golden_payload_hashes(argv, data_dir, tmp_path, capsys):
+    command, *files = argv
+    out = tmp_path / "payload"
+    assert main([command, *(str(data_dir / f) for f in files), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
 
 
 class TestDeterminismAndMeta:

@@ -12,6 +12,7 @@ from clusternets import (
     epsilon_components,
     sup_cluster,
 )
+from clusternets.dendrogram import mask_members
 
 import oracles
 
@@ -170,3 +171,46 @@ def test_axioms_on_random_corpus():
 def test_empty_matrix_rejected():
     with pytest.raises(StructuralError):
         DistanceMatrix([], [])
+
+
+def brute_force_tree(entries):
+    """Clusters, radii and parents from threshold components at 0 and at
+    every distinct value, each cluster born at the first threshold it
+    appears at; the parent is the smallest strictly larger superset."""
+    n = len(entries)
+    values = sorted({F(0)} | {entries[i][j] for i in range(n) for j in range(n)})
+    born = {}
+    for t in values:
+        for block in oracles.threshold_components(entries, t):
+            born.setdefault(frozenset(block), t)
+    parent = {}
+    for block in born:
+        supersets = [b for b in born if block < b]
+        parent[block] = min(supersets, key=len) if supersets else None
+    return born, parent
+
+
+def test_tie_heavy_corpus_matches_threshold_oracle():
+    rng = random.Random(20240417)
+    palettes = [
+        (F(0), F(1), F(2)),
+        (F(0), F(1, 3), F(1, 2), F(1)),
+        (F(0), F(5, 4), F(7, 2), F(9)),
+    ]
+    for trial in range(120):
+        n = rng.randint(1, 9)
+        palette = palettes[trial % len(palettes)]
+        entries = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                entries[i][j] = entries[j][i] = rng.choice(palette)
+        dm = DistanceMatrix([f"p{i}" for i in range(n)], entries)
+        dendro = build_dendrogram(dm)
+        born, parent = brute_force_tree(entries)
+        members = [frozenset(mask_members(c.members)) for c in dendro.clusters]
+        assert {m: c.radius for m, c in zip(members, dendro.clusters)} == born
+        assert len(members) == len(born)
+        got_parent = {
+            m: None if p is None else members[p] for m, p in zip(members, dendro.parent)
+        }
+        assert got_parent == parent

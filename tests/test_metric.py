@@ -92,6 +92,10 @@ class TestCsv:
         with pytest.raises(StructuralError, match="row labels"):
             DistanceMatrix.from_csv("label,A,B\nA,0,1\nC,1,0\n")
 
+    def test_repeated_row_label_rejected(self):
+        with pytest.raises(StructuralError, match="repeated row label 'A'"):
+            DistanceMatrix.from_csv("label,A,B\nA,0,7\nA,0,1\nB,1,0\n")
+
 
 class TestValidate:
     def test_two_points_always_ultrametric(self):
