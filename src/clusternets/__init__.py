@@ -9,7 +9,7 @@ chains at small (p, d) by exhaustive enumeration.
 """
 
 from .dendrogram import Cluster, Dendrogram, build_dendrogram, clusters_at, sup_cluster
-from .errors import AmbiguousSuperballError, StructuralError
+from .errors import StructuralError
 from .metric import (
     DistanceMatrix,
     Partition,
@@ -52,7 +52,6 @@ from .padic import (
     is_adjacent,
     lattices_between,
     maximal_chains,
-    norm_eval,
     norm_from_chain,
     verify_correspondence,
 )

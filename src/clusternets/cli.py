@@ -45,16 +45,11 @@ class InputError(Exception):
 
 
 def _read_matrix(path: str) -> DistanceMatrix:
-    if path == "-":
-        text = sys.stdin.read()
-        name = "stdin"
-    else:
-        p = Path(path)
-        try:
-            text = p.read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
-        name = p.stem
+    name = "stdin" if path == "-" else Path(path).stem
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     try:
         return DistanceMatrix.from_csv(text)
     except StructuralError as exc:
@@ -167,6 +162,8 @@ def cmd_padic_verify(args) -> int:
         raise InputError(f"dimension must be positive, got {args.d}")
     if args.precision < 1:
         raise InputError(f"precision must be at least 1, got {args.precision}")
+    if args.window < 0:
+        raise InputError(f"window must be at least 0, got {args.window}")
     if args.q is None:
         q = default_weights(args.p, args.d)
     else:
@@ -299,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        _error_json(2, "input", str(exc))
-        return 2
-    except (StructuralError, ValueError, LookupError) as exc:
+    except (InputError, StructuralError) as exc:
         _error_json(2, "input", str(exc))
         return 2
     except Exception as exc:  # pragma: no cover - invariant violations

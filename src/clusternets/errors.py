@@ -1,22 +1,11 @@
-"""Shared exception types."""
+"""Shared exception type.
+
+`StructuralError` marks malformed input: asymmetry, a bad cell, a label
+mismatch, or a hand-built `ClusterNetwork` whose per-metric parent links do
+not form one laminar tree. Networks fused from dendrograms always pass that
+check, so queries on a constructed network need no error path of their own.
+"""
 
 
 class StructuralError(ValueError):
     """Malformed input data (asymmetry, bad cell, label mismatch, ...)."""
-
-
-class AmbiguousSuperballError(RuntimeError):
-    """Several incomparable minimal common superballs exist.
-
-    Cannot occur for networks fused from per-metric trees (the candidate
-    superballs of a common ball are nested), but the reporting path is kept
-    so corrupted or hand-built networks fail loudly instead of silently.
-    """
-
-    def __init__(self, ball_id: int, candidate_ids: tuple[int, ...]):
-        self.ball_id = ball_id
-        self.candidate_ids = candidate_ids
-        super().__init__(
-            f"ball {ball_id} has {len(candidate_ids)} incomparable minimal "
-            f"superballs: {list(candidate_ids)}"
-        )

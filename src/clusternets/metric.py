@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,6 +20,11 @@ from .errors import StructuralError
 
 Rational = Fraction | int | str
 
+# Python's default int-to-string limit: a value with more digits could not be
+# written out, and an exponent past it would cost a 10**e first.
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
 
 def as_fraction(value: Rational) -> Fraction:
     """Parse a decimal or `p/q` literal into an exact rational."""
@@ -26,10 +32,21 @@ def as_fraction(value: Rational) -> Fraction:
         return value  # immutable, so it can be shared as is
     if isinstance(value, float):
         raise StructuralError(f"refusing float value {value!r}; pass a string or Fraction")
+    # Without an exponent, a literal of at most MAX_DIGITS characters has at
+    # most MAX_DIGITS digits, so only other literals need the two checks.
+    short = not isinstance(value, str) or (len(value) <= MAX_DIGITS and "e" not in value.lower())
+    exp = None if short else _EXPONENT.search(value)
+    digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+    # compare lengths first, so that a long exponent is never parsed as an int
+    if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
+        raise StructuralError(f"rational literal {value!r} has an exponent beyond ±{MAX_DIGITS}")
     try:
-        return Fraction(value)
+        x = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"bad rational literal {value!r}: {exc}") from None
+    if not short and max(abs(x.numerator), x.denominator) >= 10**MAX_DIGITS:
+        raise StructuralError(f"rational literal {value!r} has more than {MAX_DIGITS} digits")
+    return x
 
 
 @dataclass(frozen=True)
@@ -151,8 +168,10 @@ class DistanceMatrix:
         Values are decimal or `p/q` literals. Symmetry is validated, not
         assumed.
         """
-        reader = csv.reader(io.StringIO(text))
-        table = [row for row in reader if row and any(cell.strip() for cell in row)]
+        try:
+            table = [row for row in csv.reader(io.StringIO(text)) if any(map(str.strip, row))]
+        except csv.Error as exc:
+            raise StructuralError(f"bad CSV: {exc}") from None
         if not table:
             raise StructuralError("empty distance matrix file")
         header = [cell.strip() for cell in table[0]]

@@ -2,7 +2,8 @@
 
 Vertices are clusters identified by member set; edges are the per-tree
 parent links, tagged with the set of metrics contributing them. Restricting
-to any single metric id recovers that metric's dendrogram exactly.
+to any single metric id recovers that metric's dendrogram exactly, and every
+query walks up one metric's tree along its parent links.
 Serialization is canonical (vertices by (size, member names), edges by ids,
 metric tags sorted), so permuting the input dendrograms changes nothing.
 """
@@ -10,11 +11,12 @@ metric tags sorted), so permuting the input dendrograms changes nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dendrogram import Dendrogram, mask_members
-from .errors import AmbiguousSuperballError, StructuralError
+from .errors import StructuralError
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,56 @@ class NetworkEdge:
 
 @dataclass(frozen=True)
 class ClusterNetwork:
+    """Union of one tree per metric.
+
+    Construction derives each metric's parent links from `edges` and checks
+    that they form one tree whose children lie strictly inside their parent
+    and whose siblings are disjoint. The balls of a metric are then laminar,
+    so the balls of that metric containing a ball are exactly its ancestors.
+    """
+
     labels: tuple[str, ...]
     metric_ids: tuple[str, ...]
     vertices: tuple[NetworkVertex, ...]
     edges: tuple[NetworkEdge, ...]
+    _parents: dict[str, dict[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, known = len(self.vertices), set(self.metric_ids)
+        if any(v.vertex_id != i for i, v in enumerate(self.vertices)):
+            raise StructuralError("vertex ids must be 0, 1, ... in order")
+        balls = Counter(mid for v in self.vertices for mid in v.present_in)
+        if not balls.keys() <= known:
+            raise StructuralError(f"balls of unknown metrics {sorted(balls.keys() - known)}")
+        parents: dict[str, dict[int, int]] = {mid: {} for mid in self.metric_ids}
+        inside: dict[tuple[str, int], int] = {}  # union of the children seen so far
+        for e in self.edges:
+            if not (0 <= e.child < n and 0 <= e.parent < n):
+                raise StructuralError(f"edge {e.child}->{e.parent} names no vertex")
+            child, parent = self.vertices[e.child], self.vertices[e.parent]
+            if not child.members | parent.members == parent.members != child.members:
+                raise StructuralError(f"vertex {e.child} is not strictly inside vertex {e.parent}")
+            for mid in e.metrics:
+                if mid not in child.present_in & parent.present_in:
+                    raise StructuralError(f"edge {e.child}->{e.parent} joins non-balls of {mid!r}")
+                if e.child in parents[mid]:
+                    raise StructuralError(f"vertex {e.child} has two parents in {mid!r}")
+                if inside.get((mid, e.parent), 0) & child.members:
+                    raise StructuralError(f"children of vertex {e.parent} overlap in {mid!r}")
+                parents[mid][e.child] = e.parent
+                inside[mid, e.parent] = inside.get((mid, e.parent), 0) | child.members
+        for mid, links in parents.items():
+            roots = balls[mid] - len(links)  # every ball but a root has one parent
+            if roots != 1:
+                raise StructuralError(f"metric {mid!r} has {roots} roots, expected one")
+        object.__setattr__(self, "_parents", parents)
+
+    def parent_ids(self, metric_id: str) -> dict[int, int]:
+        """Child vertex id -> parent vertex id along one metric's tree."""
+        try:
+            return self._parents[metric_id]
+        except KeyError:
+            raise LookupError(f"unknown metric id {metric_id!r}") from None
 
     def vertex_by_members(self, members: int) -> NetworkVertex:
         for v in self.vertices:
@@ -63,10 +111,6 @@ class ClusterNetwork:
 
     def member_names(self, v: NetworkVertex) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in mask_members(v.members))
-
-    def metrics_of(self, metric_id: str) -> None:
-        if metric_id not in self.metric_ids:
-            raise LookupError(f"unknown metric id {metric_id!r}")
 
 
 def merge_dendrograms(dendros: list[Dendrogram], ids: list[str]) -> ClusterNetwork:
@@ -120,13 +164,9 @@ def merge_dendrograms(dendros: list[Dendrogram], ids: list[str]) -> ClusterNetwo
 
 def restrict(net: ClusterNetwork, metric_id: str) -> tuple[set[int], set[tuple[int, int]]]:
     """Member-set and edge view of a single metric inside the network."""
-    net.metrics_of(metric_id)
+    links = net.parent_ids(metric_id)
     verts = {v.members for v in net.vertices if metric_id in v.present_in}
-    edges = {
-        (net.vertices[e.child].members, net.vertices[e.parent].members)
-        for e in net.edges
-        if metric_id in e.metrics
-    }
+    edges = {(net.vertices[c].members, net.vertices[p].members) for c, p in links.items()}
     return verts, edges
 
 
@@ -146,35 +186,18 @@ def minimal_common_superball(
 ) -> NetworkVertex | None:
     """Smallest r-ball strictly containing `ball`, or None at the root.
 
-    Candidates all contain `ball` and are balls of any one metric of r, so
-    they are nested and the minimum is unique; AmbiguousSuperballError is
-    raised only if a malformed network presents incomparable minima.
+    Every r-ball is a ball of each metric in r, so the r-balls containing
+    `ball` all lie on its ancestor path in any one metric's tree: the first
+    of them on that walk is the unique minimum.
     """
     r = frozenset(r)
     if not is_r_ball(net, ball, r):
         raise ValueError(f"vertex {ball.vertex_id} is not an r-ball for {sorted(r)}")
-    candidates = [
-        v
-        for v in net.vertices
-        if r <= v.present_in
-        and v.members != ball.members
-        and v.members & ball.members == ball.members
-    ]
-    if not candidates:
-        return None
-    minimal = [
-        v
-        for v in candidates
-        if not any(
-            w.members != v.members and w.members & v.members == w.members
-            for w in candidates
-        )
-    ]
-    if len(minimal) > 1:
-        raise AmbiguousSuperballError(
-            ball.vertex_id, tuple(sorted(v.vertex_id for v in minimal))
-        )
-    return minimal[0]
+    links = net.parent_ids(min(r))
+    i = links.get(ball.vertex_id)
+    while i is not None and not r <= net.vertices[i].present_in:
+        i = links.get(i)
+    return None if i is None else net.vertices[i]
 
 
 def undirected_cycles(net: ClusterNetwork) -> list[tuple[int, ...]]:

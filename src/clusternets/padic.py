@@ -475,10 +475,6 @@ class NormSpec:
         return self.eval([Fraction(a) - Fraction(b) for a, b in zip(x, y)])
 
 
-def norm_eval(norm: NormSpec, z: Sequence) -> Fraction:
-    return norm.eval(z)
-
-
 def _min_exponent_with(p: int, target: Fraction, strict: bool) -> int:
     """Smallest v with p^v >= target (or > target when strict).
 

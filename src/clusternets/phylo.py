@@ -138,7 +138,7 @@ def load_marker_bundle(manifest_path: str | Path) -> MarkerSet:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise StructuralError(f"cannot read manifest {manifest_path}: {exc}") from None
     entries = manifest.get("markers")
     if not isinstance(entries, list) or not entries:
@@ -150,7 +150,7 @@ def load_marker_bundle(manifest_path: str | Path) -> MarkerSet:
         path = manifest_path.parent / entry["path"]
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise StructuralError(f"cannot read marker file {path}: {exc}") from None
         markers.append((str(entry["id"]), DistanceMatrix.from_csv(text)))
     return MarkerSet(tuple(markers))
@@ -160,8 +160,8 @@ def load_sweep_spec(spec_path: str | Path, n_markers: int) -> SweepGrid:
     """Read a sweep spec: explicit weight rows or a simplex grid resolution."""
     spec_path = Path(spec_path)
     try:
-        spec = json.loads(spec_path.read_text(), parse_float=Fraction, parse_int=Fraction)
-    except (OSError, json.JSONDecodeError) as exc:
+        spec = json.loads(spec_path.read_text(), parse_float=as_fraction, parse_int=as_fraction)
+    except (OSError, ValueError) as exc:  # also bad UTF-8 and as_fraction's StructuralError
         raise StructuralError(f"cannot read sweep spec {spec_path}: {exc}") from None
     grid = spec.get("grid") if isinstance(spec, dict) else None
     if not isinstance(grid, dict) or "type" not in grid:

@@ -10,11 +10,10 @@ length minus one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .dendrogram import mask_members
-from .errors import AmbiguousSuperballError
 from .network import ClusterNetwork, NetworkVertex, is_r_ball, minimal_common_superball
 
 
@@ -39,7 +38,6 @@ class SimplicialComplex:
     network: ClusterNetwork
     subfamily: frozenset[str]
     simplices: tuple[Simplex, ...]
-    skipped_ambiguous: tuple[int, ...] = field(default_factory=tuple)
 
     def vertex_sets(self) -> set[tuple[int, ...]]:
         return {s.vertex_ids for s in self.simplices}
@@ -59,7 +57,6 @@ class DimensionReport:
     subfamily: frozenset[str]
     per_pair: tuple[tuple[tuple[int, int], int], ...]
     overall: int
-    skipped_ambiguous: tuple[int, ...] = field(default_factory=tuple)
 
 
 @dataclass(frozen=True)
@@ -104,23 +101,16 @@ def check_compatibility(net: ClusterNetwork) -> CompatibilityReport:
 def intermediary_chain(
     net: ClusterNetwork, inner: NetworkVertex, outer: NetworkVertex, metric_id: str
 ) -> list[NetworkVertex]:
-    """All balls of one metric between `inner` and `outer`, smallest first."""
-    net.metrics_of(metric_id)
+    """All balls of one metric between `inner` and `outer`, smallest first:
+    the walk up that metric's tree from `inner` to `outer`."""
+    links = net.parent_ids(metric_id)
     if metric_id not in inner.present_in or metric_id not in outer.present_in:
         raise ValueError(f"endpoints must both be balls of metric {metric_id!r}")
     if inner.members & outer.members != inner.members:
         raise ValueError("inner ball is not contained in outer ball")
-    chain = [
-        v
-        for v in net.vertices
-        if metric_id in v.present_in
-        and v.members & outer.members == v.members
-        and inner.members & v.members == inner.members
-    ]
-    chain.sort(key=lambda v: v.size)
-    for a, b in zip(chain, chain[1:]):
-        if a.members & b.members != a.members:
-            raise AssertionError("balls of one metric over a common subset must nest")
+    chain = [inner]
+    while chain[-1].vertex_id != outer.vertex_id:
+        chain.append(net.vertices[links[chain[-1].vertex_id]])
     return chain
 
 
@@ -148,40 +138,28 @@ def simplices_for_pair(
 
 
 def build_complex(net: ClusterNetwork, r: frozenset[str] | set[str]) -> SimplicialComplex:
-    """Union of per-pair simplices over every r-ball with a superball.
-
-    Pairs whose minimal common superball is ambiguous (possible only on
-    malformed networks) are skipped and recorded.
-    """
+    """Union of per-pair simplices over every r-ball with a superball."""
     r = frozenset(r)
     found: dict[tuple[int, ...], Simplex] = {}
-    pairs, skipped = _superball_pairs(net, r)
-    for v, j in pairs:
+    for v, j in _superball_pairs(net, r):
         for s in simplices_for_pair(net, v, j, r):
             if s.vertex_ids not in found:
                 found[s.vertex_ids] = s
     simplices = tuple(sorted(found.values(), key=lambda s: (len(s.vertex_ids), s.vertex_ids)))
-    return SimplicialComplex(net, r, simplices, skipped)
+    return SimplicialComplex(net, r, simplices)
 
 
 def _superball_pairs(
     net: ClusterNetwork, r: frozenset[str]
-) -> tuple[list[tuple[NetworkVertex, NetworkVertex]], tuple[int, ...]]:
-    """Each r-ball with its minimal common superball, and the ids of the
-    r-balls whose superball is ambiguous."""
+) -> list[tuple[NetworkVertex, NetworkVertex]]:
+    """Each r-ball that has a minimal common superball, with that superball."""
     pairs = []
-    skipped: list[int] = []
     for v in net.vertices:
-        if not is_r_ball(net, v, r):
-            continue
-        try:
+        if is_r_ball(net, v, r):
             j = minimal_common_superball(net, v, r)
-        except AmbiguousSuperballError:
-            skipped.append(v.vertex_id)
-            continue
-        if j is not None:
-            pairs.append((v, j))
-    return pairs, tuple(skipped)
+            if j is not None:
+                pairs.append((v, j))
+    return pairs
 
 
 def r_dimension(
@@ -201,12 +179,12 @@ def r_dimension(
 def network_dimension(net: ClusterNetwork, r: frozenset[str] | set[str]) -> DimensionReport:
     """Per-pair r-dimensions for every valid (ball, superball) pair."""
     r = frozenset(r)
-    pairs, skipped = _superball_pairs(net, r)
     per_pair = sorted(
-        ((v.vertex_id, j.vertex_id), r_dimension(net, v, j, r)) for v, j in pairs
+        ((v.vertex_id, j.vertex_id), r_dimension(net, v, j, r))
+        for v, j in _superball_pairs(net, r)
     )
     overall = max((dim for _, dim in per_pair), default=0)
-    return DimensionReport(r, tuple(per_pair), overall, skipped)
+    return DimensionReport(r, tuple(per_pair), overall)
 
 
 def dimension_json_dict(
@@ -223,8 +201,6 @@ def dimension_json_dict(
         },
     }
     warnings: dict = {}
-    if report.skipped_ambiguous:
-        warnings["ambiguous_superballs"] = list(report.skipped_ambiguous)
     if compatibility is not None and not compatibility.compatible:
         warnings["incompatible_intersections"] = [dict(v) for v in compatibility.violations]
     if warnings:

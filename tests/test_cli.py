@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import clusternets
@@ -63,6 +69,21 @@ class TestCluster:
         code, out, err = run(["cluster", str(bad)], capsys)
         assert code == 2 and not out
         assert "repeated row label 'A'" in json.loads(err)["error"]["message"]
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("label,Ä,B\nÄ,0,1\nB,1,0\n".encode("latin-1"))
+        code, out, err = run(["cluster", str(bad)], capsys)
+        assert code == 2 and not out
+        assert "cannot read" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("literal", ["1e100000000", "1e5000"])
+    def test_huge_exponent_exit_2_names_literal(self, literal, tmp_path, capsys):
+        bad = tmp_path / "huge.csv"
+        bad.write_text(f"label,A,B\nA,0,{literal}\nB,{literal},0\n")
+        code, out, err = run(["cluster", str(bad)], capsys)
+        assert code == 2 and not out
+        assert repr(literal) in json.loads(err)["error"]["message"]
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(["cluster", "no/such/file.csv"], capsys)
@@ -249,6 +270,21 @@ class TestPadicVerify:
             assert code == 2 and not out
             assert "precision" in json.loads(err)["error"]["message"]
 
+    def test_negative_window_exit_2_before_enumeration(self, capsys, monkeypatch):
+        import clusternets.cli as cli_mod
+
+        def enumerate_chains(*args, **kwargs):
+            raise AssertionError("chains enumerated before the window was checked")
+
+        monkeypatch.setattr(cli_mod, "verify_correspondence", enumerate_chains)
+        code, out, err = run(
+            ["padic-verify", "--p", "2", "--d", "4", "--q", "3/5,4/5,5/6,6/7",
+             "--window", "-1"],
+            capsys,
+        )
+        assert code == 2 and not out
+        assert "window" in json.loads(err)["error"]["message"]
+
     def test_unsorted_weights_exit_2_with_hint(self, capsys):
         code, _, err = run(
             ["padic-verify", "--p", "2", "--d", "2", "--q", "4/5,3/5"], capsys
@@ -269,6 +305,17 @@ class TestPhyloSweep:
         schema("network.schema.json").validate(doc)
         names = {"".join(v["members"]) for v in doc["vertices"]}
         assert {"AB", "CD", "AC", "BD", "ABCD"} <= names
+
+    def test_non_utf8_marker_exit_2(self, data_dir, tmp_path, capsys):
+        markers = tmp_path / "markers"
+        shutil.copytree(data_dir / "markers", markers)
+        (markers / "split_ab_cd.csv").write_bytes(b"label,A\xff\n")
+        code, out, err = run(
+            ["phylo-sweep", str(markers / "manifest.json"), str(markers / "sweep_units.json")],
+            capsys,
+        )
+        assert code == 2 and not out
+        assert "split_ab_cd.csv" in json.loads(err)["error"]["message"]
 
     def test_zero_vector_exit_2(self, data_dir, capsys):
         markers = data_dir / "markers"
@@ -355,3 +402,44 @@ class TestDeterminismAndMeta:
         assert "unix_time" not in json.dumps(payload)
         side = json.loads(meta.read_text())
         assert side["tool"] == "clusternets" and "unix_time" in side
+
+
+CELLS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.sampled_from(["1/2", "0.25", "-1", "1/0", "1e3", "1e5000", "1e100000000", "nan", "x"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def matrix_csv(draw):
+    """Mostly well-formed matrix CSV: a symmetric grid of drawn cells."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.text("ABC", min_size=1, max_size=2), min_size=n, max_size=n))
+    cell: dict[tuple[int, int], str] = {}
+    lines = [",".join(["label", *labels])]
+    for i, name in enumerate(labels):
+        row = [name]
+        for j in range(n):
+            key = (min(i, j), max(i, j))
+            if key not in cell:
+                cell[key] = "0" if i == j else draw(CELLS)
+            row.append(cell[key])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@given(st.one_of(st.text(), matrix_csv()))
+@settings(max_examples=150, deadline=None)
+def test_cluster_stdin_fuzz_exits_0_or_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(["cluster", "-"])
+    assert code in (0, 2), err.getvalue()
+    if err.getvalue():
+        assert err.getvalue().count("\n") == 1
+        assert json.loads(err.getvalue())["error"]["code"] == code == 2
+    else:
+        assert code == 0 and json.loads(out.getvalue())["labels"]

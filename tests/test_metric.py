@@ -9,6 +9,7 @@ from clusternets import (
     DistanceMatrix,
     StructuralError,
     UltrametricMatrix,
+    as_fraction,
     chain_distance,
     epsilon_components,
     quotient_matrix,
@@ -36,6 +37,18 @@ def dissimilarities(draw, min_n=2, max_n=6):
 
 
 class TestConstruction:
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e100000000", "1e5000", "1E-4301", "1" + "0" * 4299 + "e1"],
+        ids=["1e100000000", "1e5000", "1E-4301", "4301-digit-value"],
+    )
+    def test_oversized_literal_rejected_before_expansion(self, literal):
+        with pytest.raises(StructuralError, match="4300"):
+            as_fraction(literal)
+
+    def test_literal_at_digit_limit_accepted(self):
+        assert as_fraction("9" * 4300 + "e-4299") == F(int("9" * 4300), 10**4299)
+
     def test_labels_canonicalized_lexicographically(self):
         dm = DistanceMatrix(["b", "a"], [[0, 3], [3, 0]])
         assert dm.labels == ("a", "b")
@@ -79,6 +92,11 @@ class TestCsv:
     def test_fraction_literals(self):
         dm = DistanceMatrix.from_csv("label,x,y\nx,0,3/5\ny,3/5,0\n")
         assert dm.get("x", "y") == F(3, 5)
+
+    def test_oversized_field_rejected(self):
+        # the csv module refuses fields over 131072 characters with csv.Error
+        with pytest.raises(StructuralError, match="bad CSV"):
+            DistanceMatrix.from_csv("label,A\nA," + "0" * 200_000 + "\n")
 
     def test_bad_header(self):
         with pytest.raises(StructuralError, match="label"):

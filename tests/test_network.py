@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from clusternets import (
-    AmbiguousSuperballError,
     ClusterNetwork,
+    NetworkEdge,
     NetworkVertex,
     StructuralError,
     build_dendrogram,
@@ -185,17 +185,74 @@ class TestMinimalSuperball:
         with pytest.raises(ValueError):
             minimal_common_superball(net, ab, {"m1", "m2"})
 
-    def test_ambiguity_reported_on_malformed_network(self):
-        # Hand-built non-laminar network: two incomparable "balls" above {a}.
-        verts = (
-            NetworkVertex(0, 0b001, frozenset({"m"}), (("m", F(0)),)),
-            NetworkVertex(1, 0b011, frozenset({"m"}), (("m", F(1)),)),
-            NetworkVertex(2, 0b101, frozenset({"m"}), (("m", F(1)),)),
-        )
-        net = ClusterNetwork(("a", "b", "c"), ("m",), verts, ())
-        with pytest.raises(AmbiguousSuperballError) as err:
-            minimal_common_superball(net, verts[0], {"m"})
-        assert err.value.candidate_ids == (1, 2)
+
+def hand_built(masks, edges, metric_ids=("m",)):
+    """Network on labels a, b, c whose vertices are balls of metric "m"."""
+    verts = tuple(
+        NetworkVertex(i, mask, frozenset({"m"}), (("m", F(mask.bit_count() - 1)),))
+        for i, mask in enumerate(masks)
+    )
+    links = tuple(NetworkEdge(c, p, frozenset(tags)) for c, p, tags in edges)
+    return ClusterNetwork(("a", "b", "c"), metric_ids, verts, links)
+
+
+class TestConstructionChecks:
+    """Each metric's parent links must form one laminar tree."""
+
+    def test_unlinked_balls_rejected(self):
+        # {a}, {a,b} and {a,c} with no edges: three roots, and a walk from
+        # {a} would find no superball among two incomparable candidates.
+        with pytest.raises(StructuralError, match="3 roots"):
+            hand_built((0b001, 0b011, 0b101), ())
+
+    def test_metric_without_balls_rejected(self):
+        with pytest.raises(StructuralError, match="'n' has 0 roots"):
+            hand_built((0b001, 0b011), [(0, 1, {"m"})], metric_ids=("m", "n"))
+
+    def test_overlapping_siblings_rejected(self):
+        # {a} < {a,b} < {a,b,c} and {a,c} < {a,b,c}: the walk from {a}
+        # alone would silently pick {a,b}, although {a,c} contains {a} too.
+        edges = [(0, 1, {"m"}), (1, 3, {"m"}), (2, 3, {"m"})]
+        with pytest.raises(StructuralError, match="children of vertex 3 overlap"):
+            hand_built((0b001, 0b011, 0b101, 0b111), edges)
+
+    def test_two_parents_rejected(self):
+        edges = [(0, 1, {"m"}), (0, 2, {"m"}), (1, 3, {"m"}), (2, 3, {"m"})]
+        with pytest.raises(StructuralError, match="two parents"):
+            hand_built((0b001, 0b011, 0b101, 0b111), edges)
+
+    @pytest.mark.parametrize("masks", [(0b011, 0b001), (0b011, 0b011), (0b011, 0b100)])
+    def test_child_not_strictly_inside_rejected(self, masks):
+        with pytest.raises(StructuralError, match="not strictly inside"):
+            hand_built(masks, [(0, 1, {"m"})])
+
+    def test_edge_of_unknown_metric_rejected(self):
+        with pytest.raises(StructuralError, match="non-balls of 'x'"):
+            hand_built((0b001, 0b011), [(0, 1, {"m", "x"})])
+
+    def test_dangling_edge_rejected(self):
+        with pytest.raises(StructuralError, match="names no vertex"):
+            hand_built((0b001, 0b011), [(0, 1, {"m"}), (-1, 1, {"m"})])
+
+    @pytest.mark.parametrize(
+        "vertex, message",
+        [
+            (NetworkVertex(1, 0b111, frozenset({"m"}), (("m", F(2)),)), "ids must be 0, 1"),
+            (NetworkVertex(0, 0b111, frozenset({"m", "z"}), ()), "unknown metrics"),
+        ],
+    )
+    def test_bad_vertex_rejected(self, vertex, message):
+        with pytest.raises(StructuralError, match=message):
+            ClusterNetwork(("a", "b", "c"), ("m",), (vertex,), ())
+
+    def test_fused_network_links(self, net_c1):
+        net, _ = net_c1
+        a, ab = (net.vertex_by_members(mask_of(ix)) for ix in ([0], [0, 1]))
+        assert net.parent_ids("m1")[a.vertex_id] == ab.vertex_id
+        with pytest.raises(LookupError):
+            net.parent_ids("nope")
+        with pytest.raises(LookupError):
+            restrict(net, "nope")
 
 
 class TestCycles:

@@ -140,3 +140,14 @@ class TestBundleLoading:
         )
         with pytest.raises(StructuralError, match="cannot read"):
             load_marker_bundle(tmp_path / "manifest.json")
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_bytes(b'{"markers": "\xff"}')
+        with pytest.raises(StructuralError, match="cannot read manifest"):
+            load_marker_bundle(tmp_path / "manifest.json")
+
+    def test_huge_exponent_in_sweep_spec_rejected(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"grid": {"type": "explicit", "weights": [[1, 1e100000000]]}}')
+        with pytest.raises(StructuralError, match="1e100000000"):
+            load_sweep_spec(spec, 2)

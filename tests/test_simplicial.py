@@ -75,6 +75,11 @@ class TestIntermediaryChain:
         with pytest.raises(ValueError, match="contained"):
             intermediary_chain(net_c1, vertex(net_c1, "ABC"), vertex(net_c1, "B"), "m1")
 
+    def test_unknown_metric_rejected(self, net_c1):
+        b = vertex(net_c1, "B")
+        with pytest.raises(LookupError):
+            intermediary_chain(net_c1, b, b, "nope")
+
     def test_non_ball_endpoint_rejected(self, net_c1):
         with pytest.raises(ValueError, match="balls of metric"):
             intermediary_chain(net_c1, vertex(net_c1, "AB"), vertex(net_c1, "ABC"), "m2")
