@@ -65,8 +65,6 @@ from .simplicial import (
     check_compatibility,
     intermediary_chain,
     network_dimension,
-    r_dimension,
-    simplices_for_pair,
 )
 
 __version__ = "0.1.0"

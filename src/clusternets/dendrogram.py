@@ -74,10 +74,6 @@ class Dendrogram:
     parent: tuple[int | None, ...]
 
     @property
-    def root(self) -> int:
-        return len(self.clusters) - 1
-
-    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             (child, par) for child, par in enumerate(self.parent) if par is not None

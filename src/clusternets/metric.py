@@ -30,8 +30,10 @@ def as_fraction(value: Rational) -> Fraction:
     """Parse a decimal or `p/q` literal into an exact rational."""
     if type(value) is Fraction:
         return value  # immutable, so it can be shared as is
-    if isinstance(value, float):
-        raise StructuralError(f"refusing float value {value!r}; pass a string or Fraction")
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
+        raise StructuralError(
+            f"refusing {type(value).__name__} value {value!r}; pass a string, int or Fraction"
+        )
     # Without an exponent, a literal of at most MAX_DIGITS characters has at
     # most MAX_DIGITS digits, so only other literals need the two checks.
     short = not isinstance(value, str) or (len(value) <= MAX_DIGITS and "e" not in value.lower())
@@ -66,12 +68,6 @@ class Partition:
             seen.update(block)
         if seen != set(range(self.n)):
             raise StructuralError("blocks do not cover the point set")
-
-    def block_of(self, index: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if index in block:
-                return block
-        raise LookupError(f"index {index} not in partition")
 
     def as_label_sets(self, labels: Sequence[str]) -> list[list[str]]:
         return [[labels[i] for i in block] for block in self.blocks]

@@ -140,19 +140,21 @@ def load_marker_bundle(manifest_path: str | Path) -> MarkerSet:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise StructuralError(f"cannot read manifest {manifest_path}: {exc}") from None
-    entries = manifest.get("markers")
+    entries = manifest.get("markers") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
         raise StructuralError("manifest must list at least one marker")
     markers = []
     for entry in entries:
-        if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), str) for key in ("id", "path")
+        ):
             raise StructuralError(f"bad marker entry {entry!r}")
         path = manifest_path.parent / entry["path"]
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise StructuralError(f"cannot read marker file {path}: {exc}") from None
-        markers.append((str(entry["id"]), DistanceMatrix.from_csv(text)))
+        markers.append((entry["id"], DistanceMatrix.from_csv(text)))
     return MarkerSet(tuple(markers))
 
 
@@ -171,6 +173,8 @@ def load_sweep_spec(spec_path: str | Path, n_markers: int) -> SweepGrid:
         if not isinstance(rows, list) or not rows:
             raise StructuralError("explicit grid needs a nonempty weights list")
         for row in rows:
+            if not isinstance(row, list):
+                raise StructuralError(f"weight row {row!r} is not a list")
             if len(row) != n_markers:
                 raise StructuralError(
                     f"weight row {row!r} has {len(row)} entries for {n_markers} markers"
@@ -178,7 +182,8 @@ def load_sweep_spec(spec_path: str | Path, n_markers: int) -> SweepGrid:
         return SweepGrid.explicit(rows)
     if grid["type"] == "simplex":
         resolution = grid.get("resolution")
-        if not isinstance(resolution, (int, Fraction)) or Fraction(resolution) < 1:
+        # JSON numbers arrive as Fractions; a bool is not a number here
+        if not isinstance(resolution, Fraction) or resolution.denominator != 1 or resolution < 1:
             raise StructuralError("simplex grid needs an integer resolution >= 1")
         return SweepGrid.simplex(n_markers, int(resolution))
     raise StructuralError(f"unknown grid type {grid['type']!r}")

@@ -1,15 +1,17 @@
 """Simplicial structure and dimension of a cluster network.
 
-For a subfamily r of metrics and each r-ball I with minimal common superball
-J, every subset (size >= 2) of the single-metric chain of balls between I
-and J is a simplex. Simplices never mix incomparable balls of different
-metrics; chains from different metrics sharing the same vertex set are
-identified. The r-dimension of a pair (I, J) is the longest such chain's
-length minus one.
+For a subfamily r of metrics, one pass visits each r-ball I that has a
+minimal common superball J and yields (I, J, the chain of balls from I up
+to J in each metric of r). Both readings come from that pass: every subset
+(size >= 2) of a chain is a simplex, and the r-dimension of (I, J) is the
+longest chain's length minus one. Simplices never mix incomparable balls of
+different metrics; chains from different metrics sharing the same vertex
+set are identified.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -114,77 +116,48 @@ def intermediary_chain(
     return chain
 
 
-def simplices_for_pair(
-    net: ClusterNetwork,
-    inner: NetworkVertex,
-    outer: NetworkVertex,
-    r: frozenset[str] | set[str],
-) -> list[Simplex]:
-    """Subsets (size >= 2) of each metric's chain between the pair, deduplicated."""
-    r = frozenset(r)
-    expected = minimal_common_superball(net, inner, r)
-    if expected is None or expected.members != outer.members:
-        raise ValueError("outer ball must be the minimal common superball of inner")
-    found: dict[tuple[int, ...], Simplex] = {}
-    anchor = (inner.vertex_id, outer.vertex_id)
-    for mid in sorted(r):
-        chain = intermediary_chain(net, inner, outer, mid)
-        ids = [v.vertex_id for v in chain]
-        for size in range(2, len(ids) + 1):
-            for subset in combinations(ids, size):
-                if subset not in found:
-                    found[subset] = Simplex(subset, mid, anchor)
-    return sorted(found.values(), key=lambda s: (len(s.vertex_ids), s.vertex_ids))
+def _pair_chains(
+    net: ClusterNetwork, r: frozenset[str]
+) -> Iterator[tuple[tuple[int, int], list[tuple[str, list[int]]]]]:
+    """Each r-ball I with a minimal common superball J, in vertex order, as
+    ((I, J) ids, [(metric, ball ids of its chain from I up to J)]), the
+    metrics of r in sorted order."""
+    metrics = sorted(r)
+    for v in net.vertices:
+        if not is_r_ball(net, v, r):
+            continue
+        j = minimal_common_superball(net, v, r)
+        if j is not None:
+            yield (v.vertex_id, j.vertex_id), [
+                (mid, [u.vertex_id for u in intermediary_chain(net, v, j, mid)])
+                for mid in metrics
+            ]
 
 
 def build_complex(net: ClusterNetwork, r: frozenset[str] | set[str]) -> SimplicialComplex:
-    """Union of per-pair simplices over every r-ball with a superball."""
+    """Subsets (size >= 2) of every pair's chains; the first chain to give a
+    vertex set names its metric and anchor."""
     r = frozenset(r)
     found: dict[tuple[int, ...], Simplex] = {}
-    for v, j in _superball_pairs(net, r):
-        for s in simplices_for_pair(net, v, j, r):
-            if s.vertex_ids not in found:
-                found[s.vertex_ids] = s
+    for anchor, chains in _pair_chains(net, r):
+        for mid, ids in chains:
+            for size in range(2, len(ids) + 1):
+                for subset in combinations(ids, size):
+                    if subset not in found:
+                        found[subset] = Simplex(subset, mid, anchor)
     simplices = tuple(sorted(found.values(), key=lambda s: (len(s.vertex_ids), s.vertex_ids)))
     return SimplicialComplex(net, r, simplices)
 
 
-def _superball_pairs(
-    net: ClusterNetwork, r: frozenset[str]
-) -> list[tuple[NetworkVertex, NetworkVertex]]:
-    """Each r-ball that has a minimal common superball, with that superball."""
-    pairs = []
-    for v in net.vertices:
-        if is_r_ball(net, v, r):
-            j = minimal_common_superball(net, v, r)
-            if j is not None:
-                pairs.append((v, j))
-    return pairs
-
-
-def r_dimension(
-    net: ClusterNetwork,
-    inner: NetworkVertex,
-    outer: NetworkVertex,
-    r: frozenset[str] | set[str],
-) -> int:
-    """Length minus one of the longest single-metric chain between the pair."""
-    r = frozenset(r)
-    expected = minimal_common_superball(net, inner, r)
-    if expected is None or expected.members != outer.members:
-        raise ValueError("outer ball must be the minimal common superball of inner")
-    return max(len(intermediary_chain(net, inner, outer, mid)) for mid in sorted(r)) - 1
-
-
 def network_dimension(net: ClusterNetwork, r: frozenset[str] | set[str]) -> DimensionReport:
-    """Per-pair r-dimensions for every valid (ball, superball) pair."""
+    """Per pair, the longest single-metric chain's length minus one."""
     r = frozenset(r)
-    per_pair = sorted(
-        ((v.vertex_id, j.vertex_id), r_dimension(net, v, j, r))
-        for v, j in _superball_pairs(net, r)
+    per_pair = tuple(
+        (anchor, max(len(ids) for _, ids in chains) - 1)
+        for anchor, chains in _pair_chains(net, r)
     )
     overall = max((dim for _, dim in per_pair), default=0)
-    return DimensionReport(r, tuple(per_pair), overall)
+    return DimensionReport(r, per_pair, overall)
 
 
 def dimension_json_dict(

@@ -54,6 +54,53 @@ def threshold_components(entries, eps: Fraction) -> list[tuple[int, ...]]:
     return sorted(blocks)
 
 
+def balls_by_definition(entries, labels) -> set[frozenset]:
+    """Every threshold component of a dissimilarity, as a set of labels.
+
+    The thresholds are 0 and each entry, so the components at 0 are the
+    leaves and the last one is the whole point set.
+    """
+    values = {Fraction(0)} | {v for row in entries for v in row}
+    return {
+        frozenset(labels[i] for i in block)
+        for eps in values
+        for block in threshold_components(entries, eps)
+    }
+
+
+def complex_by_definition(balls: dict, r) -> tuple[dict, dict]:
+    """Simplices and per-pair dimensions of a cluster system, from member sets.
+
+    `balls` maps each metric id to its balls as frozensets of labels. The
+    r-balls are the sets that are balls of every metric in r. Each r-ball I
+    pairs with J, the smallest r-ball strictly containing it, found by
+    scanning. The chain of metric m is every m-ball B with I <= B <= J,
+    ordered by size. Pairs are visited by (size, sorted labels) of I and
+    metrics in sorted order; the first chain to give a vertex set names its
+    metric and anchor. Returns ({simplex: (metric, (I, J))}, {(I, J): dim}),
+    each simplex a tuple of member sets from smallest to largest.
+    """
+    metrics = sorted(r)
+    r_balls = set.intersection(*(set(balls[m]) for m in metrics))
+    simplices: dict = {}
+    dims: dict = {}
+    for inner in sorted(r_balls, key=lambda s: (len(s), sorted(s))):
+        above = [b for b in r_balls if inner < b]
+        if not above:
+            continue
+        outer = min(above, key=len)
+        chains = [
+            (m, sorted((b for b in balls[m] if inner <= b <= outer), key=len))
+            for m in metrics
+        ]
+        dims[inner, outer] = max(len(chain) for _, chain in chains) - 1
+        for m, chain in chains:
+            for size in range(2, len(chain) + 1):
+                for subset in combinations(chain, size):
+                    simplices.setdefault(subset, (m, (inner, outer)))
+    return simplices, dims
+
+
 def random_rational(rng, max_num=40, max_den=6) -> Fraction:
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
 

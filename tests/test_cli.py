@@ -326,9 +326,52 @@ class TestPhyloSweep:
         assert code == 2
         assert "zero" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "manifest, grid",
+        [
+            ([{"id": "m", "path": "x.csv"}], None),
+            ("markers", None),
+            ({"markers": [{"id": "m", "path": 5}]}, None),
+            (
+                {"markers": [
+                    {"id": None, "path": "split_ab_cd.csv"},
+                    {"id": "m", "path": "split_ac_bd.csv"},
+                ]},
+                None,
+            ),
+            (None, {"type": "explicit", "weights": [[None, "1"]]}),
+            (None, {"type": "explicit", "weights": [[["1"], "1"]]}),
+            (None, {"type": "explicit", "weights": [5]}),
+            (None, {"type": "explicit", "weights": ["12"]}),
+            (None, {"type": "explicit", "weights": [[True, "1"]]}),
+            (None, {"type": "simplex", "resolution": 2.5}),
+            (None, {"type": "simplex", "resolution": True}),
+        ],
+        ids=[
+            "manifest-list", "manifest-string", "path-int", "id-null", "weight-null",
+            "weight-nested-list", "row-number", "row-string", "weight-true",
+            "resolution-float", "resolution-true",
+        ],
+    )
+    def test_malformed_json_exit_2(self, manifest, grid, data_dir, tmp_path, capsys):
+        """Malformed JSON is refused with exit 2, never crashes or gets repaired."""
+        markers = tmp_path / "markers"
+        shutil.copytree(data_dir / "markers", markers)
+        manifest_path = markers / "manifest.json"
+        spec_path = markers / "sweep_units.json"
+        if manifest is not None:
+            manifest_path.write_text(json.dumps(manifest))
+        if grid is not None:
+            spec_path = tmp_path / "sweep.json"
+            spec_path.write_text(json.dumps({"grid": grid}))
+        code, out, err = run(["phylo-sweep", str(manifest_path), str(spec_path)], capsys)
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["kind"] == "input"
+
 
 # SHA-256 of payloads on tests/data, captured before the single-linkage pass
-# replaced the per-threshold build; a changed hash is a changed output.
+# replaced the per-threshold build (the `complex` entries before one chain
+# pass replaced the per-pair walks); a changed hash is a changed output.
 GOLDEN = {
     ("network", "trio_a.csv", "trio_b.csv"):
         "434b6b031d3d50a2ab9d25b11e96da384ec36ce94ccb2d95e9e9ed63c389a6b0",
@@ -344,14 +387,26 @@ GOLDEN = {
         "b3aa5e4a56f6ecbed59d36dc106174117a9b34b7d398211101b547f6f5dce7e5",
     ("dimension", "incompat_1.csv", "incompat_2.csv"):
         "09dd24468fee7f0ae06f979a77dafe162b025e24272c497aa77b1d187460ab95",
+    ("complex", "trio_a.csv", "trio_b.csv"):
+        "204073ea45052e34c6f7ea7b751a7937b796b16d0f08c52c15c910d0d23bbc8e",
+    ("complex", "quad_a.csv", "quad_b.csv"):
+        "a3ff46f745bd9d18a1d3407a1700ba3c65224b95e32da4a41bec8cfc6eb222f2",
+    ("complex", "incompat_1.csv", "incompat_2.csv"):
+        "a5797524a42c0a6a54cf5c22620389f79e815ea57cabe6d9c716ae29925cb64d",
+    ("complex", "trio_a.csv", "trio_b.csv", "--format", "dot"):
+        "cdecfbc396502923d8dc12263a737b3f1e52cfcfe35379fad8fcce1026fbc93f",
+    ("complex", "trio_a.csv", "trio_b.csv", "--r", "trio_a"):
+        "99f2a2435d922ee51a8bac8f18526200d7e7f85a731eb9e2a0800d717b642bf2",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
 def test_golden_payload_hashes(argv, data_dir, tmp_path, capsys):
-    command, *files = argv
+    command, *rest = argv
+    # file names are relative to the data directory; flags pass through as is
+    args = [str(data_dir / a) if a.endswith((".csv", ".json")) else a for a in rest]
     out = tmp_path / "payload"
-    assert main([command, *(str(data_dir / f) for f in files), "--out", str(out)]) == 0
+    assert main([command, *args, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
 

@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from clusternets import (
+    DistanceMatrix,
     build_complex,
     build_dendrogram,
     check_compatibility,
@@ -10,12 +12,11 @@ from clusternets import (
     merge_dendrograms,
     minimal_common_superball,
     network_dimension,
-    r_dimension,
-    simplices_for_pair,
 )
 from clusternets.dendrogram import mask_of
 from clusternets.simplicial import complex_json_dict
 
+import oracles
 from conftest import INCOMPAT_1, INCOMPAT_2
 
 
@@ -85,13 +86,25 @@ class TestIntermediaryChain:
             intermediary_chain(net_c1, vertex(net_c1, "AB"), vertex(net_c1, "ABC"), "m2")
 
 
+def anchored_at(cx, inner, outer):
+    return [s for s in cx.simplices if s.anchor == (inner.vertex_id, outer.vertex_id)]
+
+
+def pair_dimension(report, inner, outer):
+    return dict(report.per_pair)[inner.vertex_id, outer.vertex_id]
+
+
 class TestSimplicesForPair:
+    """The simplices a complex takes from one (ball, superball) pair's chains."""
+
     def test_two_triangles_for_middle_point(self, net_c1):
         b, abc = vertex(net_c1, "B"), vertex(net_c1, "ABC")
-        simplices = simplices_for_pair(net_c1, b, abc, {"m1", "m2"})
+        cx = build_complex(net_c1, {"m1", "m2"})
+        chain_ids = {vertex(net_c1, t).vertex_id for t in ("B", "AB", "BC", "ABC")}
         as_names = {
             tuple(names(net_c1, net_c1.vertices[i]) for i in s.vertex_ids)
-            for s in simplices
+            for s in cx.simplices
+            if set(s.vertex_ids) <= chain_ids
         }
         triangles = {t for t in as_names if len(t) == 3}
         edges = {t for t in as_names if len(t) == 2}
@@ -99,19 +112,15 @@ class TestSimplicesForPair:
         assert edges == {
             ("B", "AB"), ("AB", "ABC"), ("B", "ABC"), ("B", "BC"), ("BC", "ABC"),
         }
+        assert {len(s.vertex_ids) for s in anchored_at(cx, b, abc)} == {2, 3}
 
     def test_single_metric_immediate_parent_one_edge(self, trio_a):
         net = merge_dendrograms([build_dendrogram(trio_a)], ["m"])
         a = vertex(net, "A")
         j = minimal_common_superball(net, a, {"m"})
-        simplices = simplices_for_pair(net, a, j, {"m"})
+        simplices = anchored_at(build_complex(net, {"m"}), a, j)
         assert len(simplices) == 1
         assert simplices[0].dimension == 1
-
-    def test_wrong_superball_rejected(self, net_c1):
-        b, bc = vertex(net_c1, "B"), vertex(net_c1, "BC")
-        with pytest.raises(ValueError, match="minimal common superball"):
-            simplices_for_pair(net_c1, b, bc, {"m1", "m2"})
 
 
 class TestBuildComplex:
@@ -170,13 +179,15 @@ class TestBuildComplex:
 class TestDimension:
     def test_pair_dimension_two(self, net_c1):
         b, abc = vertex(net_c1, "B"), vertex(net_c1, "ABC")
-        assert r_dimension(net_c1, b, abc, {"m1", "m2"}) == 2
+        assert pair_dimension(network_dimension(net_c1, {"m1", "m2"}), b, abc) == 2
 
     def test_single_metric_immediate_parent(self, trio_a):
         net = merge_dendrograms([build_dendrogram(trio_a)], ["m"])
         a = vertex(net, "A")
         j = minimal_common_superball(net, a, {"m"})
-        assert r_dimension(net, a, j, {"m"}) == 1
+        rep = network_dimension(net, {"m"})
+        assert pair_dimension(rep, a, j) == 1
+        assert {dim for _, dim in rep.per_pair} == {1}
 
     def test_overall_dimension_trio(self, net_c1):
         rep = network_dimension(net_c1, {"m1", "m2"})
@@ -213,3 +224,27 @@ class TestJson:
         doc = complex_json_dict(cx, rep, check_compatibility(net))
         assert "warnings" in doc
         assert doc["warnings"]["incompatible_intersections"]
+
+
+def test_complex_and_dimension_match_definition():
+    """Random families on <= 7 points vs the member-set oracle, every subfamily."""
+    rng = random.Random(1404)
+    for _ in range(60):
+        n, k = rng.randint(2, 7), rng.randint(2, 3)
+        labels = [f"p{i}" for i in range(n)]
+        ids = [f"m{j}" for j in range(k)]
+        mats = [oracles.random_dissimilarity(rng, n) for _ in ids]
+        net = merge_dendrograms([build_dendrogram(DistanceMatrix(labels, e)) for e in mats], ids)
+        balls = {mid: oracles.balls_by_definition(e, labels) for mid, e in zip(ids, mats)}
+
+        def sets(vertex_ids):
+            return tuple(frozenset(net.member_names(net.vertices[i])) for i in vertex_ids)
+
+        for size in range(1, k + 1):
+            for r in combinations(ids, size):
+                simplices, dims = oracles.complex_by_definition(balls, r)
+                cx = build_complex(net, r)
+                got = {sets(s.vertex_ids): (s.metric, sets(s.anchor)) for s in cx.simplices}
+                assert got == simplices
+                per_pair = network_dimension(net, r).per_pair
+                assert {sets(pair): dim for pair, dim in per_pair} == dims
