@@ -71,11 +71,8 @@ def _network_from_paths(paths: list[str]) -> ClusterNetwork:
     used: set[str] = set()
     ids = [_metric_id(p, used) for p in paths]
     matrices = [_read_matrix(p) for p in paths]
-    try:
-        dendros = [build_dendrogram(m) for m in matrices]
-        return merge_dendrograms(dendros, ids)
-    except StructuralError as exc:
-        raise InputError(str(exc)) from None
+    dendros = [build_dendrogram(m) for m in matrices]
+    return merge_dendrograms(dendros, ids)
 
 
 def _dump(doc: dict) -> str:
@@ -114,10 +111,7 @@ def _parse_subfamily(arg: str | None, available: tuple[str, ...]) -> frozenset[s
 
 
 def _parse_weights(arg: str, p: int, d: int) -> tuple:
-    try:
-        q = tuple(as_fraction(x) for x in arg.split(","))
-    except StructuralError as exc:
-        raise InputError(str(exc)) from None
+    q = tuple(as_fraction(x) for x in arg.split(","))
     if len(q) != d:
         raise InputError(f"got {len(q)} weights for dimension {d}")
     return q
@@ -133,12 +127,12 @@ def cmd_network(args) -> int:
 def cmd_complex(args) -> int:
     net = _network_from_paths(args.matrices)
     subfamily = _parse_subfamily(args.r, net.metric_ids)
-    compat = check_compatibility(net)
     cx = build_complex(net, subfamily)
     if args.format == "dot":
         payload = skeleton_dot(cx)
     else:
-        payload = _dump(complex_json_dict(cx, network_dimension(net, subfamily), compat))
+        dim = network_dimension(net, subfamily)
+        payload = _dump(complex_json_dict(cx, dim, check_compatibility(net)))
     _write_output(payload, args.out)
     _emit_meta(args)
     return 0
@@ -211,12 +205,9 @@ def cmd_padic_verify(args) -> int:
 
 
 def cmd_phylo_sweep(args) -> int:
-    try:
-        markers = load_marker_bundle(args.manifest)
-        grid = load_sweep_spec(args.sweep_spec, len(markers))
-        net = sweep(markers, grid)
-    except StructuralError as exc:
-        raise InputError(str(exc)) from None
+    markers = load_marker_bundle(args.manifest)
+    grid = load_sweep_spec(args.sweep_spec, len(markers))
+    net = sweep(markers, grid)
     _write_output(to_dot(net) if args.format == "dot" else to_json(net), args.out)
     _emit_meta(args)
     return 0

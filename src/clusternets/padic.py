@@ -16,7 +16,7 @@ primitive scaling: integral but not contained in p.Z_p^d.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import isqrt
@@ -108,6 +108,7 @@ def identity_matrix(d: int) -> Matrix:
 # ---------------------------------------------------------------------------
 # lattices
 
+@dataclass(frozen=True, slots=True)
 class Lattice:
     """Full-rank Z_p-lattice in canonical Hermite basis.
 
@@ -116,15 +117,9 @@ class Lattice:
     bases, so == and hash are structural.
     """
 
-    __slots__ = ("p", "basis", "exponents")
-
-    def __init__(self, p: int, basis: Matrix, exponents: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "exponents", exponents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
+    p: int
+    basis: Matrix
+    exponents: tuple[int, ...] = field(compare=False)
 
     @classmethod
     def from_basis(cls, p: int, vectors: Iterable[Sequence]) -> "Lattice":
@@ -171,10 +166,7 @@ class Lattice:
     @classmethod
     def standard(cls, p: int, d: int) -> "Lattice":
         require_prime(p)
-        basis = tuple(
-            tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)
-        )
-        return cls(p, basis, (0,) * d)
+        return cls(p, identity_matrix(d), (0,) * d)
 
     @property
     def dimension(self) -> int:
@@ -226,19 +218,6 @@ class Lattice:
             "basis_columns": [[str(x) for x in col] for col in self.basis],
         }
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.p == other.p
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.basis))
-
-    def __repr__(self) -> str:
-        return f"Lattice(p={self.p}, exponents={self.exponents})"
-
 
 @dataclass(frozen=True)
 class LatticeClass:
@@ -255,14 +234,6 @@ class LatticeClass:
             if x != 0
         )
         return cls(lattice.dilate(-shift))
-
-    @property
-    def p(self) -> int:
-        return self.representative.p
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return self.representative.exponents
 
 
 @dataclass(frozen=True)
@@ -406,11 +377,11 @@ def is_adjacent(first: Lattice | LatticeClass, second: Lattice | LatticeClass) -
     """Building adjacency: some rescaling of one strictly between p.other and other."""
     a = first if isinstance(first, LatticeClass) else LatticeClass.of(first)
     b = second if isinstance(second, LatticeClass) else LatticeClass.of(second)
-    if a.p != b.p or a.representative.dimension != b.representative.dimension:
+    ra, rb = a.representative, b.representative
+    if ra.p != rb.p or ra.dimension != rb.dimension:
         raise StructuralError("lattices live in different spaces")
     if a == b:
         return False
-    ra, rb = a.representative, b.representative
     d = ra.dimension
     gap = ra.index_valuation() - rb.index_valuation()
     k_lo = -(-gap // d)  # ceil
@@ -425,13 +396,13 @@ def is_adjacent(first: Lattice | LatticeClass, second: Lattice | LatticeClass) -
 
 def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
     """All maximal chains p.L < L_1 < ... < L; one per complete flag."""
-    chains = []
-    for flag in complete_flags(lattice.p, lattice.dimension):
-        lats = [lattice.dilate(1)]
-        lats.extend(_lift_subspace(lattice, v) for v in flag)
-        lats.append(lattice)
-        chains.append(LatticeChain(tuple(lats)))
-    return chains
+    p, d = lattice.p, lattice.dimension
+    lifts = dict(zip(enumerate_subspaces(p, d), lattices_between(lattice)))
+    bottom = lattice.dilate(1)
+    return [
+        LatticeChain((bottom, *(lifts[v] for v in flag), lattice))
+        for flag in complete_flags(p, d)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +415,7 @@ class NormSpec:
     p: int
     q: tuple[Fraction, ...]
     matrix: Matrix
+    inverse: Matrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         require_prime(self.p)
@@ -455,7 +427,7 @@ class NormSpec:
         d = len(self.q)
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise StructuralError("frame matrix shape does not match weights")
-        mat_inv(self.matrix)  # raises if singular
+        object.__setattr__(self, "inverse", mat_inv(self.matrix))  # raises if singular
 
     @property
     def dimension(self) -> int:
@@ -475,17 +447,17 @@ class NormSpec:
         return self.eval([Fraction(a) - Fraction(b) for a, b in zip(x, y)])
 
 
-def _min_exponent_with(p: int, target: Fraction, strict: bool) -> int:
-    """Smallest v with p^v >= target (or > target when strict).
+def _min_exponent_with(p: int, target: Fraction) -> int:
+    """Smallest v with p^v >= target.
 
     Terminates for every positive rational target: p^v grows without bound
     upward and vanishes downward.
     """
     v = 0
     base = Fraction(p)
-    while (base**v < target) or (strict and base**v == target):
+    while base**v < target:
         v += 1
-    while (base ** (v - 1) > target) or (not strict and base ** (v - 1) == target):
+    while base ** (v - 1) >= target:
         v -= 1
     return v
 
@@ -499,11 +471,11 @@ def ball_of_radius(norm: NormSpec, radius: Fraction | int | str) -> Lattice:
     radius = as_fraction(radius)
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    inv = mat_inv(norm.matrix)
+    inv = norm.inverse
     d = norm.dimension
     cols = []
     for j in range(d):
-        v_j = _min_exponent_with(norm.p, norm.q[j] / radius, strict=False)
+        v_j = _min_exponent_with(norm.p, norm.q[j] / radius)
         scale = Fraction(norm.p) ** v_j
         cols.append(tuple(inv[i][j] * scale for i in range(d)))
     return Lattice.from_basis(norm.p, cols)
@@ -516,30 +488,21 @@ def ball_radius_of(norm: NormSpec, lattice: Lattice) -> Fraction | None:
 
 
 def intermediary_balls(norm: NormSpec, lattice: Lattice) -> LatticeChain:
-    """Maximal chain of N-balls between p.L and L, by sweeping R downward.
+    """Maximal chain of N-balls between p.L and L, read off the weights.
 
-    For pairwise distinct weights the chain has d+1 lattices; repeated
-    weights shorten it.
+    If L = ball(R), the balls change only at norm values, and each weight
+    q_i takes exactly one value q_i p^(-k_i) in (R/p, R]. The chain is
+    ball(R/p) = p.L, then the ball of each of those values below R, then L.
+    For pairwise distinct weights it has d+1 lattices; repeated weights
+    shorten it.
     """
     radius = ball_radius_of(norm, lattice)
     if radius is None:
         raise ValueError("lattice is not a ball of this norm")
-    target = lattice.dilate(1)
-    descending = [lattice]
-    guard = 0
-    while descending[-1] != target:
-        guard += 1
-        if guard > 4 * norm.dimension + 8:
-            raise AssertionError("ball sweep failed to reach the dilation")
-        nxt = max(
-            qi * Fraction(norm.p) ** (-_min_exponent_with(norm.p, qi / radius, strict=True))
-            for qi in norm.q
-        )
-        ball = ball_of_radius(norm, nxt)
-        radius = nxt
-        if ball != descending[-1]:
-            descending.append(ball)
-    return LatticeChain(tuple(reversed(descending)))
+    p = norm.p
+    values = {qi * Fraction(p) ** -_min_exponent_with(p, qi / radius) for qi in norm.q}
+    radii = sorted(values - {radius} | {radius / p})
+    return LatticeChain((*(ball_of_radius(norm, r) for r in radii), lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +573,7 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
     """Exhaustive check of the chain <-> norm-class bijection at one (p, d).
 
     Every maximal lattice chain through the standard lattice is turned
-    into a norm and swept back into a ball chain; the round trip must be
+    into a norm and read back into a ball chain; the round trip must be
     the identity, distinct chains must stay distinct, and the chain count
     must equal the complete-flag count.
     """

@@ -122,12 +122,12 @@ def sweep(markers: MarkerSet, grid: SweepGrid) -> ClusterNetwork:
         raise StructuralError("empty sweep grid")
     dendros: list[Dendrogram] = []
     ids: list[str] = []
-    seen: dict[Dendrogram, str] = {}
+    seen: set[Dendrogram] = set()
     for w in grid.weights:
         dendro = build_dendrogram(combine(markers, w))
         if dendro in seen:
             continue
-        seen[dendro] = weight_id(w)
+        seen.add(dendro)
         dendros.append(dendro)
         ids.append(weight_id(w))
     return merge_dendrograms(dendros, ids)

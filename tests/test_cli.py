@@ -190,6 +190,20 @@ class TestComplexAndDimension:
         assert code == 0
         assert out.startswith("graph skeleton") and " -- " in out
 
+    def test_dot_skips_compatibility_check(self, data_dir, tmp_path, capsys, monkeypatch):
+        import clusternets.cli as cli_mod
+
+        def boom(net):
+            raise RuntimeError("the skeleton does not need the compatibility check")
+
+        monkeypatch.setattr(cli_mod, "check_compatibility", boom)
+        argv = ("complex", "trio_a.csv", "trio_b.csv", "--format", "dot")
+        args = [str(data_dir / a) if a.endswith(".csv") else a for a in argv]
+        out = tmp_path / "skeleton.dot"
+        assert main([*args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
+
 
 class TestPadicVerify:
     def test_two_two_all_pass(self, capsys):
@@ -397,6 +411,16 @@ GOLDEN = {
         "cdecfbc396502923d8dc12263a737b3f1e52cfcfe35379fad8fcce1026fbc93f",
     ("complex", "trio_a.csv", "trio_b.csv", "--r", "trio_a"):
         "99f2a2435d922ee51a8bac8f18526200d7e7f85a731eb9e2a0800d717b642bf2",
+    ("padic-verify", "--p", "2", "--d", "3", "--q", "5/8,3/4,7/8"):
+        "c91ba789ab441d4be527cb53abc03d04263f7801cc83f9f17f89b58fdf7dcdd6",
+    ("padic-verify", "--p", "3", "--d", "2", "--q", "1/2,2/3"):
+        "275462d140e3a637d52558895288b0cf0db092d45484c13def402a15f13e04d9",
+    ("padic-verify", "--p", "3", "--d", "2", "--q", "1/2,1/2"):
+        "cf7a3664224446b6791e5300236cd69b0d9bdd3b455ae04865b7c5727d958fd3",
+    ("padic-verify", "--p", "2", "--d", "2", "--q", "3/5,4/5", "--window", "2"):
+        "0e68a2f95d4089fe08ab8fafd31b6a32c01dfa6741c723ae85245ef82686f845",
+    ("padic-verify", "--p", "2", "--d", "3", "--q", "3/4,3/4,7/8", "--window", "1"):
+        "d12d02c968785e5bd54cdc128dcab4cfbbc2d88eeb473e09ff80e2d919580943",
 }
 
 

@@ -26,7 +26,9 @@ from clusternets import (
     norm_from_chain,
     verify_correspondence,
 )
+from clusternets import padic
 from clusternets.padic import (
+    ball_radius_of,
     default_weights,
     gaussian_binomial,
     identity_matrix,
@@ -99,6 +101,16 @@ class TestBallOfRadius:
         with pytest.raises(ValueError):
             ball_of_radius(diag_norm(2, Q22), 0)
 
+    def test_reads_the_frame_inverse_kept_by_the_norm(self, monkeypatch):
+        n = NormSpec(2, Q22, ((F(1), F(1)), (F(0), F(1))))
+        assert n.inverse == mat_inv(n.matrix)
+
+        def no_inverse(m):
+            raise AssertionError("frame inverted again")
+
+        monkeypatch.setattr(padic, "mat_inv", no_inverse)
+        assert ball_of_radius(n, F(4, 5)).contains_vector((0, 1))
+
 
 class TestIntermediaryBalls:
     def test_generic_chain_d2(self):
@@ -136,6 +148,27 @@ class TestIntermediaryBalls:
         chain = intermediary_balls(n, top)
         assert len(chain.lattices) == 3
         assert chain.lattices[0] == top.dilate(1)
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 3), (5, 2)])
+    def test_chain_matches_definition(self, p, d):
+        # the chain is every N-ball K with p.L <= K <= L, smallest first
+        rng = random.Random(100 * p + d)
+        chain_frame = norm_from_chain(
+            rng.choice(maximal_chains(Lattice.standard(p, d))), default_weights(p, d)
+        ).matrix
+        for _ in range(6):
+            dens = [rng.randint(2, 30) for _ in range(d)]
+            pool = [F(rng.randint(den // p + 1, den), den) for den in dens]
+            q = tuple(rng.choice(pool) for _ in range(d))
+            radius = F(rng.randint(1, 20), rng.randint(1, 20))
+            for frame in (identity_matrix(d), chain_frame):
+                norm = NormSpec(p, q, frame)
+                top = ball_of_radius(norm, radius)
+                balls = [
+                    k for k in lattices_between(top) if ball_radius_of(norm, k) is not None
+                ]
+                balls.sort(key=lambda k: sum(k.exponents), reverse=True)
+                assert intermediary_balls(norm, top).lattices == tuple(balls), (q, frame)
 
 
 class TestLatticeCanonicalForm:
@@ -219,6 +252,18 @@ class TestCounting:
         assert len(chains) == oracles.brute_force_flag_chains(p, d)
         assert len(complete_flags(p, d)) == count
         assert len({tuple(c.lattices) for c in chains}) == count
+
+    def test_each_subspace_lifted_once(self, monkeypatch):
+        lifts = []
+        lift = padic._lift_subspace
+
+        def counted(lattice, sub):
+            lifts.append(sub)
+            return lift(lattice, sub)
+
+        monkeypatch.setattr(padic, "_lift_subspace", counted)
+        assert len(maximal_chains(Lattice.standard(2, 4))) == 315
+        assert len(lifts) == len(set(lifts)) == 67
 
     def test_chains_are_strict_and_wrap_one_dilation(self):
         for chain in maximal_chains(Lattice.standard(2, 3)):
