@@ -4,7 +4,9 @@ Everything is exact: vectors and matrices are rationals, so valuations,
 lattice memberships, and ball identities are decided with no precision
 loss (a rational is a p-adic number whose expansion is eventually
 periodic; all inputs here are rational, so finite-precision windows are
-never needed).
+never needed). Norm values are decided by integer valuations: a norm
+keeps its frame as an integer matrix, and only the value it returns is a
+Fraction.
 
 A lattice is stored by its canonical basis: column Hermite form over Z_p
 (column j has zeros above row j, exactly p^(a_j) at row j, and truncated
@@ -19,7 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .dendrogram import build_dendrogram
@@ -78,10 +81,6 @@ def frac_mod_p(x: Fraction | int, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
-
-def mat_vec(m: Matrix, v: Sequence) -> Vector:
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in m)
-
 
 def mat_inv(m: Matrix) -> Matrix:
     d = len(m)
@@ -301,9 +300,6 @@ class Subspace:
                 w = [(w[t] - f * row[t]) % self.p for t in range(self.ambient)]
         return not any(w)
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains_vector(r) for r in self.rows)
-
 
 def enumerate_subspaces(p: int, d: int) -> list[Subspace]:
     """All subspaces of F_p^d, by dimension then echelon pattern."""
@@ -336,18 +332,36 @@ def gaussian_binomial(d: int, k: int, p: int) -> int:
 
 def complete_flags(p: int, d: int) -> list[tuple[Subspace, ...]]:
     """All chains of proper subspaces with dimensions 1 .. d-1."""
-    by_dim: dict[int, list[Subspace]] = {}
-    for s in enumerate_subspaces(p, d):
-        by_dim.setdefault(s.dim, []).append(s)
-    flags: list[tuple[Subspace, ...]] = [()]
-    for k in range(1, d):
-        flags = [
-            f + (s,)
-            for f in flags
-            for s in by_dim[k]
-            if not f or f[-1].is_subspace_of(s)
-        ]
-    return flags
+    return _walk_flags(enumerate_subspaces(p, d))
+
+
+def _walk_flags(subspaces: list[Subspace]) -> list[tuple[Subspace, ...]]:
+    """Complete flags by walking the containment poset upward.
+
+    The subspaces one dimension above S are S + <v>, one for each nonzero
+    v on the non-pivot coordinates of S with leading entry 1 (these v
+    span a complement of S). Each step lists them in enumeration order, so
+    the flags come out ordered by the enumeration index of each member.
+    """
+    p, d = subspaces[0].p, subspaces[0].ambient
+    index = {s: i for i, s in enumerate(subspaces)}
+    above: dict[Subspace, list[Subspace]] = {}
+    for s in subspaces:
+        pivots = {row.index(1) for row in s.rows}
+        free = [c for c in range(d) if c not in pivots]
+        ups = []
+        for lead, c in enumerate(free):
+            for tail in product(range(p), repeat=len(free) - lead - 1):
+                v = [0] * d
+                v[c] = 1
+                for t, val in zip(free[lead + 1:], tail):
+                    v[t] = val
+                ups.append(Subspace.from_generators(p, d, [*s.rows, v]))
+        above[s] = sorted(ups, key=index.__getitem__)
+    flags: list[tuple[Subspace, ...]] = [(subspaces[0],)]
+    for _ in range(1, d):
+        flags = [f + (t,) for f in flags for t in above[f[-1]]]
+    return [f[1:] for f in flags]
 
 
 def flag_count(p: int, d: int) -> int:
@@ -396,12 +410,12 @@ def is_adjacent(first: Lattice | LatticeClass, second: Lattice | LatticeClass) -
 
 def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
     """All maximal chains p.L < L_1 < ... < L; one per complete flag."""
-    p, d = lattice.p, lattice.dimension
-    lifts = dict(zip(enumerate_subspaces(p, d), lattices_between(lattice)))
+    subspaces = enumerate_subspaces(lattice.p, lattice.dimension)
+    lifts = {s: _lift_subspace(lattice, s) for s in subspaces}
     bottom = lattice.dilate(1)
     return [
         LatticeChain((bottom, *(lifts[v] for v in flag), lattice))
-        for flag in complete_flags(p, d)
+        for flag in _walk_flags(subspaces)
     ]
 
 
@@ -410,12 +424,23 @@ def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Weighted max-norm N(z) = max_i q_i |(Az)_i|_p with q_i in (1/p, 1]."""
+    """Weighted max-norm N(z) = max_i q_i |(Az)_i|_p with q_i in (1/p, 1].
+
+    `inverse` is the frame A^-1. A caller that already holds it (a
+    chain's adapted basis) passes it and it is taken as given; otherwise
+    it is computed, which rejects a singular A. Values are decided on
+    integers: `rows` is the integer matrix A.D, with D the lcm of the
+    denominators of A, `shift` is v_p(D), and `heaviest_first` lists the
+    rows by decreasing weight.
+    """
 
     p: int
     q: tuple[Fraction, ...]
     matrix: Matrix
-    inverse: Matrix = field(init=False, compare=False, repr=False)
+    inverse: Matrix | None = field(default=None, compare=False, repr=False)
+    rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    shift: int = field(init=False, compare=False, repr=False)
+    heaviest_first: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         require_prime(self.p)
@@ -427,24 +452,62 @@ class NormSpec:
         d = len(self.q)
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise StructuralError("frame matrix shape does not match weights")
-        object.__setattr__(self, "inverse", mat_inv(self.matrix))  # raises if singular
+        if self.inverse is None:
+            object.__setattr__(self, "inverse", mat_inv(self.matrix))  # raises if singular
+        entries = [[Fraction(x) for x in row] for row in self.matrix]
+        den = lcm(*(x.denominator for row in entries for x in row))
+        object.__setattr__(
+            self, "rows", tuple(tuple(int(x * den) for x in row) for row in entries)
+        )
+        object.__setattr__(self, "shift", pval(den, self.p))
+        object.__setattr__(
+            self, "heaviest_first", tuple(sorted(range(d), key=lambda i: -self.q[i]))
+        )
 
     @property
     def dimension(self) -> int:
         return len(self.q)
 
     def eval(self, z: Sequence) -> Fraction:
-        w = mat_vec(self.matrix, [Fraction(x) for x in z])
-        best = Fraction(0)
-        for qi, wi in zip(self.q, w):
-            if wi != 0:
-                val = qi * Fraction(self.p) ** (-pval(wi, self.p))
-                if val > best:
-                    best = val
-        return best
+        """N(z) from integer valuations; the returned value is the only Fraction.
+
+        With z = Z/e for an integer vector Z, (Az)_i = w_i/(D e) where
+        w = rows.Z, so the i-th term is q_i p^(shift + v_p(e) - v_p(w_i)).
+        As each q_i lies in (1/p, 1], terms with different valuations fall
+        in disjoint ranges: the maximum has the least v_p(w_i), ties going
+        to the heaviest weight.
+        """
+        if all(isinstance(x, int) for x in z):
+            ints, ve = z, 0
+        else:
+            fz = [x if isinstance(x, Fraction) else Fraction(x) for x in z]
+            e = lcm(*(x.denominator for x in fz))
+            ints = [x.numerator * (e // x.denominator) for x in fz]
+            ve = pval(e, self.p)
+        p, rows = self.p, self.rows
+        best, arg = None, None
+        for i in self.heaviest_first:
+            w = sum(map(mul, rows[i], ints))
+            if w == 0:
+                continue
+            v = 0
+            while w % p == 0 and (best is None or v < best):
+                w //= p
+                v += 1
+            if best is None or v < best:
+                best, arg = v, i
+        if arg is None:
+            return Fraction(0)
+        q, k = self.q[arg], self.shift + ve - best
+        if k >= 0:
+            return Fraction(q.numerator * p**k, q.denominator)
+        return Fraction(q.numerator, q.denominator * p**-k)
 
     def distance(self, x: Sequence, y: Sequence) -> Fraction:
-        return self.eval([Fraction(a) - Fraction(b) for a, b in zip(x, y)])
+        return self.eval([
+            a - b if isinstance(a, int) and isinstance(b, int) else Fraction(a) - Fraction(b)
+            for a, b in zip(x, y)
+        ])
 
 
 def _min_exponent_with(p: int, target: Fraction) -> int:
@@ -561,7 +624,7 @@ def norm_from_chain(chain: LatticeChain, q: Sequence) -> NormSpec:
         raise ValueError(f"weights must strictly increase, got {[str(x) for x in qs]}")
     fs = basis_from_chain(chain)
     frame = tuple(tuple(fs[j][i] for j in range(top.dimension)) for i in range(top.dimension))
-    return NormSpec(top.p, qs, mat_inv(frame))
+    return NormSpec(top.p, qs, mat_inv(frame), inverse=frame)
 
 
 def default_weights(p: int, d: int) -> tuple[Fraction, ...]:
@@ -632,13 +695,16 @@ def check_norm_axioms(norm: NormSpec, span: int = 3) -> dict:
     violations: list[dict] = []
     if norm.eval((0,) * d) != 0:
         violations.append({"axiom": "nondegeneracy", "point": [0] * d})
-    values: dict[tuple[int, ...], Fraction] = {}
-    for x in product(range(2 * size - 1), repeat=d):
-        values[x] = norm.eval(x)
-    for x in points:
-        if x == (0,) * d:
+    # Sums of two points lie in [0, 2*size-2]^d. Coded in radix 2*size-1
+    # (the code of s is its index in the product order), code(x + y) is
+    # code(x) + code(y), since no digit carries.
+    radix = 2 * size - 1
+    values = [norm.eval(s) for s in product(range(radix), repeat=d)]
+    codes = [sum(c * radix ** (d - 1 - k) for k, c in enumerate(x)) for x in points]
+    for x, code in zip(points, codes):
+        if code == 0:
             continue
-        vx = values[x]
+        vx = values[code]
         if vx <= 0:
             violations.append({"axiom": "nondegeneracy", "point": list(x)})
         if norm.eval(tuple(c * p for c in x)) != vx / p:
@@ -648,24 +714,21 @@ def check_norm_axioms(norm: NormSpec, span: int = 3) -> dict:
         for unit in range(2, p):
             if norm.eval(tuple(c * unit for c in x)) != vx:
                 violations.append({"axiom": "scaling", "point": list(x), "factor": unit})
-    ranking = {val: i for i, val in enumerate(sorted(set(values.values())))}
-    ranks = {x: ranking[v] for x, v in values.items()}
-    point_ranks = [ranks[x] for x in points]
-    pairs = 0
-    for i, x in enumerate(points):
-        ri = point_ranks[i]
-        for j in range(i, len(points)):
-            y = points[j]
-            s = tuple(a + b for a, b in zip(x, y))
+    ranking = {val: i for i, val in enumerate(sorted(set(values)))}
+    ranks = [ranking[v] for v in values]
+    point_ranks = [ranks[c] for c in codes]
+    n = len(points)
+    for i in range(n):
+        ci, ri = codes[i], point_ranks[i]
+        for j in range(i, n):
             rj = point_ranks[j]
-            if ranks[s] > (ri if ri >= rj else rj):
+            if ranks[ci + codes[j]] > (ri if ri >= rj else rj):
                 violations.append(
-                    {"axiom": "strong_triangle", "x": list(x), "y": list(y)}
+                    {"axiom": "strong_triangle", "x": list(points[i]), "y": list(points[j])}
                 )
-            pairs += 1
     return {
-        "points_checked": len(points),
-        "pairs_checked": pairs,
+        "points_checked": n,
+        "pairs_checked": n * (n + 1) // 2,
         "ok": not violations,
         "violations": violations[:20],
     }

@@ -215,3 +215,22 @@ def brute_force_flag_chains(p: int, d: int) -> int:
         level = [s for s in subspaces if len(s) == p**k]
         chains = [c + [s] for c in chains for s in level if c[-1] < s]
     return len(chains)
+
+
+def norm_by_definition(norm, z) -> Fraction:
+    """max_i q_i p^(-v_p((Az)_i)) by the definition, in Fraction arithmetic."""
+    p = norm.p
+    best = Fraction(0)
+    for qi, row in zip(norm.q, norm.matrix):
+        w = sum(Fraction(a) * Fraction(x) for a, x in zip(row, z))
+        if w == 0:
+            continue
+        num, den, v = w.numerator, w.denominator, 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        best = max(best, qi * Fraction(p) ** -v)
+    return best

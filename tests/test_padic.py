@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from clusternets.padic import (
     gaussian_binomial,
     identity_matrix,
     mat_inv,
-    mat_vec,
     pval,
     reordering_norms,
 )
@@ -81,6 +81,68 @@ class TestNormEval:
     def test_singular_frame_rejected(self):
         with pytest.raises(StructuralError, match="singular"):
             NormSpec(2, Q22, ((F(1), F(1)), (F(1), F(1))))
+
+
+def oracle_frames(p, d):
+    """The identity, two chain frames, the identity over p, and a
+    non-diagonal integer frame."""
+    chains = maximal_chains(Lattice.standard(p, d))
+    chain_frames = [norm_from_chain(c, default_weights(p, d)).matrix for c in chains[::7][:2]]
+    mixed = tuple(
+        tuple(F(i + 2 * j + 1) if j >= i else F(p * (i - j)) for j in range(d))
+        for i in range(d)
+    )
+    over_p = tuple(tuple(x / p for x in row) for row in identity_matrix(d))
+    return [identity_matrix(d), *chain_frames, over_p, mixed]
+
+
+def oracle_point(rng, p, d):
+    kinds = (
+        lambda: rng.randint(0, 40),
+        lambda: -rng.randint(1, 40),
+        lambda: F(rng.randint(-40, 40), rng.choice((1, 3, 5, 7))),
+        lambda: F(rng.randint(-40, 40), p ** rng.randint(1, 3) * rng.choice((1, 3))),
+    )
+    return tuple(rng.choice(kinds)() for _ in range(d))
+
+
+class TestNormKernelAgainstDefinition:
+    @pytest.mark.parametrize("p, d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_eval_and_distance_match_definition(self, p, d):
+        rng = random.Random(1000 * p + d)
+        distinct = default_weights(p, d)
+        repeated = (distinct[0],) * (d - 1) + (distinct[-1],)
+        for frame in oracle_frames(p, d):
+            for q in (distinct, repeated, distinct[::-1]):
+                norm = NormSpec(p, q, frame)
+                assert norm.eval((0,) * d) == oracles.norm_by_definition(norm, (0,) * d) == 0
+                for _ in range(40):
+                    x, y = oracle_point(rng, p, d), oracle_point(rng, p, d)
+                    want = oracles.norm_by_definition(norm, x)
+                    assert norm.eval(x) == want, (frame, q, x)
+                    diff = tuple(F(a) - F(b) for a, b in zip(x, y))
+                    assert norm.distance(x, y) == norm.eval(diff)
+                    assert norm.distance(x, y) == oracles.norm_by_definition(norm, diff)
+                    assert norm.distance(x, x) == 0
+
+    def test_frame_kept_as_integer_rows(self):
+        norm = NormSpec(2, Q22, ((F(1), F(1, 2)), (F(3, 4), F(1))))
+        assert norm.rows == ((4, 2), (3, 4)) and norm.shift == 2
+        assert norm.distance((5, -3), (1, 1)) == oracles.norm_by_definition(norm, (4, -4))
+
+    def test_chain_norm_keeps_its_frame_as_inverse(self, monkeypatch):
+        chain = maximal_chains(Lattice.standard(2, 3))[5]
+        inverted = []
+        invert = padic.mat_inv
+
+        def counted(m):
+            inverted.append(m)
+            return invert(m)
+
+        monkeypatch.setattr(padic, "mat_inv", counted)
+        norm = norm_from_chain(chain, Q23)
+        assert len(inverted) == 1
+        assert norm.inverse == inverted[0] == invert(norm.matrix)
 
 
 class TestBallOfRadius:
@@ -253,6 +315,25 @@ class TestCounting:
         assert len(complete_flags(p, d)) == count
         assert len({tuple(c.lattices) for c in chains}) == count
 
+    @pytest.mark.parametrize("p,d", [(2, 3), (3, 3), (2, 4)])
+    def test_flags_are_every_nested_chain_in_enumeration_order(self, p, d):
+        subspaces = enumerate_subspaces(p, d)
+        index = {s: i for i, s in enumerate(subspaces)}
+
+        def span(s):
+            return {
+                tuple(sum(c * row[i] for c, row in zip(coeffs, s.rows)) % p for i in range(d))
+                for coeffs in itertools.product(range(p), repeat=s.dim)
+            }
+
+        flags = complete_flags(p, d)
+        keys = [tuple(index[s] for s in flag) for flag in flags]
+        assert keys == sorted(set(keys))
+        assert len(flags) == flag_count(p, d)
+        for flag in flags:
+            assert [s.dim for s in flag] == list(range(1, d))
+            assert all(span(a) < span(b) for a, b in zip(flag, flag[1:]))
+
     def test_each_subspace_lifted_once(self, monkeypatch):
         lifts = []
         lift = padic._lift_subspace
@@ -302,6 +383,10 @@ class TestAdjacency:
         std = Lattice.standard(2, 2)
         far = Lattice.from_basis(2, [(1, 0), (0, 4)])
         assert not is_adjacent(std, far)
+
+
+def mat_vec(m, v):
+    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in m)
 
 
 def independent_decomposition_check(chain, fs):
