@@ -300,6 +300,9 @@ class Subspace:
                 w = [(w[t] - f * row[t]) % self.p for t in range(self.ambient)]
         return not any(w)
 
+    def is_subspace_of(self, other: "Subspace") -> bool:
+        return all(other.contains_vector(r) for r in self.rows)
+
 
 def enumerate_subspaces(p: int, d: int) -> list[Subspace]:
     """All subspaces of F_p^d, by dimension then echelon pattern."""
@@ -332,36 +335,24 @@ def gaussian_binomial(d: int, k: int, p: int) -> int:
 
 def complete_flags(p: int, d: int) -> list[tuple[Subspace, ...]]:
     """All chains of proper subspaces with dimensions 1 .. d-1."""
-    return _walk_flags(enumerate_subspaces(p, d))
+    return _flags_among(enumerate_subspaces(p, d))
 
 
-def _walk_flags(subspaces: list[Subspace]) -> list[tuple[Subspace, ...]]:
-    """Complete flags by walking the containment poset upward.
-
-    The subspaces one dimension above S are S + <v>, one for each nonzero
-    v on the non-pivot coordinates of S with leading entry 1 (these v
-    span a complement of S). Each step lists them in enumeration order, so
-    the flags come out ordered by the enumeration index of each member.
-    """
-    p, d = subspaces[0].p, subspaces[0].ambient
-    index = {s: i for i, s in enumerate(subspaces)}
-    above: dict[Subspace, list[Subspace]] = {}
+def _flags_among(subspaces: list[Subspace]) -> list[tuple[Subspace, ...]]:
+    """Complete flags from the list of every subspace of F_p^d, extended
+    one dimension at a time in the list's order."""
+    by_dim: dict[int, list[Subspace]] = {}
     for s in subspaces:
-        pivots = {row.index(1) for row in s.rows}
-        free = [c for c in range(d) if c not in pivots]
-        ups = []
-        for lead, c in enumerate(free):
-            for tail in product(range(p), repeat=len(free) - lead - 1):
-                v = [0] * d
-                v[c] = 1
-                for t, val in zip(free[lead + 1:], tail):
-                    v[t] = val
-                ups.append(Subspace.from_generators(p, d, [*s.rows, v]))
-        above[s] = sorted(ups, key=index.__getitem__)
-    flags: list[tuple[Subspace, ...]] = [(subspaces[0],)]
-    for _ in range(1, d):
-        flags = [f + (t,) for f in flags for t in above[f[-1]]]
-    return [f[1:] for f in flags]
+        by_dim.setdefault(s.dim, []).append(s)
+    flags: list[tuple[Subspace, ...]] = [()]
+    for k in range(1, subspaces[0].ambient):
+        flags = [
+            f + (s,)
+            for f in flags
+            for s in by_dim[k]
+            if not f or f[-1].is_subspace_of(s)
+        ]
+    return flags
 
 
 def flag_count(p: int, d: int) -> int:
@@ -415,7 +406,7 @@ def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
     bottom = lattice.dilate(1)
     return [
         LatticeChain((bottom, *(lifts[v] for v in flag), lattice))
-        for flag in _walk_flags(subspaces)
+        for flag in _flags_among(subspaces)
     ]
 
 
@@ -427,11 +418,11 @@ class NormSpec:
     """Weighted max-norm N(z) = max_i q_i |(Az)_i|_p with q_i in (1/p, 1].
 
     `inverse` is the frame A^-1. A caller that already holds it (a
-    chain's adapted basis) passes it and it is taken as given; otherwise
-    it is computed, which rejects a singular A. Values are decided on
-    integers: `rows` is the integer matrix A.D, with D the lcm of the
-    denominators of A, `shift` is v_p(D), and `heaviest_first` lists the
-    rows by decreasing weight.
+    chain's adapted basis) passes it, and A.inverse = I is checked;
+    otherwise it is computed, which rejects a singular A. Values are
+    decided on integers: `rows` is the integer matrix A.D, with D the lcm
+    of the denominators of A, `shift` is v_p(D), and `heaviest_first`
+    lists the rows by decreasing weight.
     """
 
     p: int
@@ -452,13 +443,20 @@ class NormSpec:
         d = len(self.q)
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise StructuralError("frame matrix shape does not match weights")
-        if self.inverse is None:
-            object.__setattr__(self, "inverse", mat_inv(self.matrix))  # raises if singular
         entries = [[Fraction(x) for x in row] for row in self.matrix]
         den = lcm(*(x.denominator for row in entries for x in row))
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(x * den) for x in row) for row in entries)
-        )
+        rows = tuple(tuple(int(x * den) for x in row) for row in entries)
+        object.__setattr__(self, "rows", rows)
+        if self.inverse is None:
+            object.__setattr__(self, "inverse", mat_inv(self.matrix))  # raises if singular
+        else:
+            # (A.D)(inverse.E) = D.E.I, on the integer copies
+            e = lcm(*(x.denominator for row in self.inverse for x in row))
+            inv = [[x.numerator * (e // x.denominator) for x in row] for row in self.inverse]
+            if [[sum(map(mul, row, col)) for col in zip(*inv)] for row in rows] != [
+                [den * e * (i == j) for j in range(d)] for i in range(d)
+            ]:
+                raise StructuralError("given inverse is not the inverse of the frame matrix")
         object.__setattr__(self, "shift", pval(den, self.p))
         object.__setattr__(
             self, "heaviest_first", tuple(sorted(range(d), key=lambda i: -self.q[i]))
@@ -471,23 +469,21 @@ class NormSpec:
     def eval(self, z: Sequence) -> Fraction:
         """N(z) from integer valuations; the returned value is the only Fraction.
 
-        With z = Z/e for an integer vector Z, (Az)_i = w_i/(D e) where
+        The coordinates of z are ints or Fractions. With z = Z/e for an
+        integer vector Z (e = 1 leaves z as it is), (Az)_i = w_i/(D e) where
         w = rows.Z, so the i-th term is q_i p^(shift + v_p(e) - v_p(w_i)).
         As each q_i lies in (1/p, 1], terms with different valuations fall
         in disjoint ranges: the maximum has the least v_p(w_i), ties going
         to the heaviest weight.
         """
-        if all(isinstance(x, int) for x in z):
-            ints, ve = z, 0
-        else:
-            fz = [x if isinstance(x, Fraction) else Fraction(x) for x in z]
-            e = lcm(*(x.denominator for x in fz))
-            ints = [x.numerator * (e // x.denominator) for x in fz]
-            ve = pval(e, self.p)
         p, rows = self.p, self.rows
+        e = lcm(*[x.denominator for x in z])
+        ve = 0
+        if e > 1:
+            z, ve = [x.numerator * (e // x.denominator) for x in z], pval(e, p)
         best, arg = None, None
         for i in self.heaviest_first:
-            w = sum(map(mul, rows[i], ints))
+            w = sum(map(mul, rows[i], z))
             if w == 0:
                 continue
             v = 0
@@ -504,10 +500,7 @@ class NormSpec:
         return Fraction(q.numerator, q.denominator * p**-k)
 
     def distance(self, x: Sequence, y: Sequence) -> Fraction:
-        return self.eval([
-            a - b if isinstance(a, int) and isinstance(b, int) else Fraction(a) - Fraction(b)
-            for a, b in zip(x, y)
-        ])
+        return self.eval([a - b for a, b in zip(x, y)])
 
 
 def _min_exponent_with(p: int, target: Fraction) -> int:

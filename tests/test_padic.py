@@ -144,6 +144,15 @@ class TestNormKernelAgainstDefinition:
         assert len(inverted) == 1
         assert norm.inverse == inverted[0] == invert(norm.matrix)
 
+    def test_given_inverse_is_checked(self):
+        frame = ((F(1), F(1)), (F(0), F(2)))
+        inverse = mat_inv(frame)
+        assert NormSpec(2, Q22, frame, inverse=inverse).inverse == inverse
+        wrong = ((F(1), F(-1)), (F(0), F(1, 2)))
+        for bad in (wrong, identity_matrix(2), tuple(row + (F(0),) for row in inverse)):
+            with pytest.raises(StructuralError, match="not the inverse"):
+                NormSpec(2, Q22, frame, inverse=bad)
+
 
 class TestBallOfRadius:
     def test_unit_weights_radius_one_standard(self):
