@@ -170,29 +170,41 @@ def restrict(net: ClusterNetwork, metric_id: str) -> tuple[set[int], set[tuple[i
     return verts, edges
 
 
-def is_r_ball(net: ClusterNetwork, v: NetworkVertex, r: frozenset[str] | set[str]) -> bool:
-    """True iff the vertex is a ball for every metric in the subfamily."""
+def subfamily(net: ClusterNetwork, r: frozenset[str] | set[str]) -> frozenset[str]:
+    """r as a frozenset, checked to be a nonempty set of the network's metric ids."""
     r = frozenset(r)
     if not r:
         raise ValueError("empty metric subfamily")
     unknown = r - set(net.metric_ids)
     if unknown:
         raise LookupError(f"unknown metric ids {sorted(unknown)}")
-    return r <= v.present_in
+    return r
+
+
+def is_r_ball(net: ClusterNetwork, v: NetworkVertex, r: frozenset[str] | set[str]) -> bool:
+    """True iff the vertex is a ball for every metric in the subfamily."""
+    return subfamily(net, r) <= v.present_in
 
 
 def minimal_common_superball(
     net: ClusterNetwork, ball: NetworkVertex, r: frozenset[str] | set[str]
 ) -> NetworkVertex | None:
-    """Smallest r-ball strictly containing `ball`, or None at the root.
-
-    Every r-ball is a ball of each metric in r, so the r-balls containing
-    `ball` all lie on its ancestor path in any one metric's tree: the first
-    of them on that walk is the unique minimum.
-    """
+    """Smallest r-ball strictly containing `ball`, or None at the root."""
     r = frozenset(r)
     if not is_r_ball(net, ball, r):
         raise ValueError(f"vertex {ball.vertex_id} is not an r-ball for {sorted(r)}")
+    return first_r_ancestor(net, ball, r)
+
+
+def first_r_ancestor(
+    net: ClusterNetwork, ball: NetworkVertex, r: frozenset[str]
+) -> NetworkVertex | None:
+    """The first r-ball above `ball` on its path in one metric's tree.
+
+    Every r-ball is a ball of each metric in r, so the r-balls containing
+    `ball` all lie on its ancestor path in any one metric's tree: the first
+    of them on that walk is the unique minimum. r is not checked here.
+    """
     links = net.parent_ids(min(r))
     i = links.get(ball.vertex_id)
     while i is not None and not r <= net.vertices[i].present_in:

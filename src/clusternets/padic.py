@@ -11,6 +11,9 @@ Fraction.
 A lattice is stored by its canonical basis: column Hermite form over Z_p
 (column j has zeros above row j, exactly p^(a_j) at row j, and truncated
 p-adic expansions below), which makes lattice equality a tuple comparison.
+That basis is kept as integer columns over one p-power scale and is
+canonicalised on integers modulo a power of p (Hermite normal form modulo
+D, Cohen, GTM 138, 2.4); Fractions appear only in `describe` and in results.
 The class of a lattice modulo p-power dilations is represented by the
 primitive scaling: integral but not contained in p.Z_p^d.
 """
@@ -21,7 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -57,28 +60,6 @@ def pval(x: Fraction | int, p: int) -> int:
     return v
 
 
-def _residue(x: Fraction, exponent: int, p: int) -> Fraction:
-    """Truncated p-adic expansion of x modulo p^exponent.Z_p."""
-    if x == 0:
-        return Fraction(0)
-    v = pval(x, p)
-    if v >= exponent:
-        return Fraction(0)
-    pv = Fraction(p) ** v
-    unit = x / pv
-    mod = p ** (exponent - v)
-    r = unit.numerator * pow(unit.denominator, -1, mod) % mod
-    return pv * r
-
-
-def frac_mod_p(x: Fraction | int, p: int) -> int:
-    """Reduce a p-integral rational modulo p."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise ValueError(f"{x} is not p-integral")
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 
@@ -107,106 +88,148 @@ def identity_matrix(d: int) -> Matrix:
 # ---------------------------------------------------------------------------
 # lattices
 
+def _cleared(p: int, vec: Sequence) -> tuple[list[int], int]:
+    """vec as (V, a): V an integer vector with vec = V / (p^a u) for a unit u.
+
+    Scaling by the unit u keeps the Z_p-span, so V / p^a stands for vec.
+    """
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], pval(den, p)
+
+
+def _strip(p: int, cols: Sequence[Sequence[int]], scale: int) -> tuple[Sequence, int]:
+    """Divide out the p-power common to every entry, down to scale 0."""
+    g, k = gcd(*(x for c in cols for x in c)), 0
+    while k < scale and g % p ** (k + 1) == 0:
+        k += 1
+    if k:
+        cols = tuple(tuple(x // p**k for x in c) for c in cols)
+    return cols, scale - k
+
+
 @dataclass(frozen=True, slots=True)
 class Lattice:
-    """Full-rank Z_p-lattice in canonical Hermite basis.
+    """Full-rank Z_p-lattice in canonical Hermite basis, on integers.
 
-    `basis[j]` is the j-th basis vector: zero above coordinate j, p^(a_j)
-    at coordinate j, reduced residues below. Equal lattices have equal
-    bases, so == and hash are structural.
+    The j-th basis vector is `cols[j] / p^scale`: zero above coordinate j,
+    p^(a_j) at coordinate j (a_j = exponents[j]), reduced residues below.
+    `scale` is the least s >= 0 that makes every entry an integer, so equal
+    lattices have equal (p, cols, scale), and == and hash are structural.
     """
 
     p: int
-    basis: Matrix
+    cols: tuple[tuple[int, ...], ...]
+    scale: int
     exponents: tuple[int, ...] = field(compare=False)
 
     @classmethod
     def from_basis(cls, p: int, vectors: Iterable[Sequence]) -> "Lattice":
         """Canonicalize any spanning set (at least d vectors of rank d)."""
         require_prime(p)
-        cols = [[Fraction(x) for x in v] for v in vectors]
-        if not cols:
+        vecs = [_cleared(p, v) for v in vectors]
+        if not vecs:
             raise StructuralError("no basis vectors")
-        d = len(cols[0])
-        if any(len(c) != d for c in cols):
+        if any(len(c) != len(vecs[0][0]) for c, _ in vecs):
             raise StructuralError("basis vectors of unequal length")
-        cols = [c for c in cols if any(x != 0 for x in c)]
-        basis: list[list[Fraction]] = []
-        for row in range(d):
-            pivot_idx = None
-            pivot_val = None
-            for idx, c in enumerate(cols):
-                if c[row] != 0:
-                    v = pval(c[row], p)
-                    if pivot_val is None or v < pivot_val:
-                        pivot_val, pivot_idx = v, idx
-            if pivot_idx is None:
+        return cls._hermite(p, vecs)
+
+    @classmethod
+    def _hermite(cls, p: int, vecs: Sequence[tuple[Sequence[int], int]]) -> "Lattice":
+        """Canonical basis of the span of the vectors V / p^a, on integers.
+
+        With every vector over one scale, the columns span an integral
+        lattice M. Fraction-free elimination, pivoting on the least
+        valuation, makes them triangular with diagonal p^(v_t) times units.
+        M has index p^E in Z_p^d, E = sum of v_t, so p^E.e_t lies in M and
+        the columns, last to first, are normalised modulo p^E: each is
+        divided by its unit and reduced by the canonical columns after it.
+        """
+        scale = max(0, *(a for _, a in vecs))
+        cols, scale = _strip(p, [[x * p ** (scale - a) for x in v] for v, a in vecs], scale)
+        d = len(cols[0])
+        cols = [c for c in cols if any(c)]
+        pivots = []
+        for t in range(d):
+            nonzero = [(pval(c[t], p), i) for i, c in enumerate(cols) if c[t]]
+            if not nonzero:
                 raise StructuralError("vectors do not span a full-rank lattice")
-            pivot = cols.pop(pivot_idx)
-            unit = pivot[row] / Fraction(p) ** pivot_val
-            pivot = [x / unit for x in pivot]
+            v, idx = min(nonzero)
+            pivot = cols.pop(idx)
+            unit, rest = pivot[t] // p**v, []
             for c in cols:
-                if c[row] != 0:
-                    coef = c[row] / pivot[row]
-                    for i in range(row, d):
-                        c[i] -= coef * pivot[i]
-            basis.append(pivot)
-            cols = [c for c in cols if any(x != 0 for x in c)]
-        exps = tuple(pval(basis[j][j], p) for j in range(d))
-        for j in range(d):
-            for i in range(j + 1, d):
-                r = _residue(basis[j][i], exps[i], p)
-                if r != basis[j][i]:
-                    coef = (basis[j][i] - r) / basis[i][i]
-                    for t in range(i, d):
-                        basis[j][t] -= coef * basis[i][t]
-        return cls(p, tuple(tuple(c) for c in basis), exps)
+                if c[t]:
+                    f = c[t] // p**v
+                    c = [unit * x - f * y for x, y in zip(c, pivot)]
+                if any(c):
+                    rest.append(c)
+            cols = rest
+            pivots.append((pivot, v))
+        exps = [v for _, v in pivots]
+        mod = p ** sum(exps)
+        out: list[tuple[int, ...]] = [()] * d
+        for t in range(d - 1, -1, -1):
+            pivot, v = pivots[t]
+            inv = pow(pivot[t] // p**v, -1, mod)
+            c = [x * inv % mod for x in pivot]
+            c[t] = p**v
+            for i in range(t + 1, d):
+                f = c[i] // p ** exps[i]
+                if f:
+                    c[i:] = [(x - f * y) % mod for x, y in zip(c[i:], out[i][i:])]
+            out[t] = tuple(c)
+        return cls(p, tuple(out), scale, tuple(v - scale for v in exps))
 
     @classmethod
     def standard(cls, p: int, d: int) -> "Lattice":
         require_prime(p)
-        return cls(p, identity_matrix(d), (0,) * d)
+        return cls(p, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 0, (0,) * d)
+
+    @property
+    def basis(self) -> Matrix:
+        """The basis vectors as Fractions."""
+        s = self.p**self.scale
+        return tuple(tuple(Fraction(x, s) for x in col) for col in self.cols)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.cols)
 
     def dilate(self, k: int) -> "Lattice":
         """p^k . L; entrywise scaling preserves the canonical form."""
-        f = Fraction(self.p) ** k
-        return Lattice(
-            self.p,
-            tuple(tuple(x * f for x in col) for col in self.basis),
-            tuple(a + k for a in self.exponents),
-        )
+        p, s, cols = self.p, self.scale - k, self.cols
+        if s < 0:
+            cols, s = tuple(tuple(x * p**-s for x in col) for col in cols), 0
+        cols, s = _strip(p, cols, s)
+        return Lattice(p, cols, s, tuple(a + k for a in self.exponents))
 
-    def coordinates_of(self, vec: Sequence) -> Vector | None:
-        """Coefficients of vec over the basis if they are p-integral."""
-        d = self.dimension
-        x = [Fraction(v) for v in vec]
-        coords = []
-        for j in range(d):
-            c = x[j] / self.basis[j][j]
-            if c != 0 and pval(c, self.p) < 0:
+    def _solve(self, target: Sequence[int], a: int) -> list[int] | None:
+        """Coefficients over the basis of target / p^a, or None if it is not
+        in the lattice. The diagonal entries are p-powers, so the
+        coefficients of a member are integers."""
+        p, cols = self.p, self.cols
+        k = self.scale - a
+        t = [x * p**k for x in target] if k > 0 else list(target)
+        m = p**-k if k < 0 else 1
+        coeffs = []
+        for j, col in enumerate(cols):
+            f, r = divmod(t[j], m * col[j])
+            if r:
                 return None
-            coords.append(c)
-            if c != 0:
-                for i in range(j, d):
-                    x[i] -= c * self.basis[j][i]
-        return tuple(coords)
+            if f:
+                t[j:] = [x - f * m * y for x, y in zip(t[j:], col[j:])]
+            coeffs.append(f)
+        return coeffs
+
+    def _combine(self, coeffs: Sequence[int]) -> list[int]:
+        """The integer vector sum of coeffs[j] * cols[j], over this scale."""
+        return [sum(map(mul, coeffs, row)) for row in zip(*self.cols)]
 
     def contains_vector(self, vec: Sequence) -> bool:
-        return self.coordinates_of(vec) is not None
+        return self._solve(*_cleared(self.p, vec)) is not None
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains_vector(col) for col in other.basis)
-
-    def member_vector(self, coords: Sequence) -> Vector:
-        d = self.dimension
-        return tuple(
-            sum(Fraction(coords[j]) * self.basis[j][i] for j in range(d))
-            for i in range(d)
-        )
+        return all(self._solve(col, other.scale) is not None for col in other.cols)
 
     def index_valuation(self) -> int:
         return sum(self.exponents)
@@ -367,10 +390,10 @@ def flag_count(p: int, d: int) -> int:
 
 def _lift_subspace(lattice: Lattice, sub: Subspace) -> Lattice:
     """p.L plus the lift of a subspace of L/pL, as a sublattice of L."""
-    p = lattice.p
-    vectors = [tuple(x * p for x in col) for col in lattice.basis]
-    vectors.extend(lattice.member_vector(row) for row in sub.rows)
-    return Lattice.from_basis(p, vectors)
+    p, s = lattice.p, lattice.scale
+    vectors = [([x * p for x in col], s) for col in lattice.cols]
+    vectors.extend((lattice._combine(row), s) for row in sub.rows)
+    return Lattice._hermite(p, vectors)
 
 
 def lattices_between(lattice: Lattice) -> list[Lattice]:
@@ -503,17 +526,18 @@ class NormSpec:
         return self.eval([a - b for a, b in zip(x, y)])
 
 
-def _min_exponent_with(p: int, target: Fraction) -> int:
-    """Smallest v with p^v >= target.
+def _min_exponent_with(p: int, q: Fraction, radius: Fraction) -> int:
+    """Smallest v with q.p^(-v) <= radius, that is p^v >= num/den with
+    num/den = q/radius, compared on integers.
 
-    Terminates for every positive rational target: p^v grows without bound
-    upward and vanishes downward.
+    Terminates for positive q and radius: p^v grows without bound upward
+    and vanishes downward.
     """
+    num, den = q.numerator * radius.denominator, q.denominator * radius.numerator
     v = 0
-    base = Fraction(p)
-    while base**v < target:
+    while p**v * den < num:
         v += 1
-    while base ** (v - 1) >= target:
+    while v <= 0 and den >= num * p ** (1 - v):
         v -= 1
     return v
 
@@ -527,19 +551,17 @@ def ball_of_radius(norm: NormSpec, radius: Fraction | int | str) -> Lattice:
     radius = as_fraction(radius)
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    inv = norm.inverse
-    d = norm.dimension
-    cols = []
-    for j in range(d):
-        v_j = _min_exponent_with(norm.p, norm.q[j] / radius)
-        scale = Fraction(norm.p) ** v_j
-        cols.append(tuple(inv[i][j] * scale for i in range(d)))
-    return Lattice.from_basis(norm.p, cols)
+    p = norm.p
+    vectors = []
+    for j, col in enumerate(zip(*norm.inverse)):
+        ints, a = _cleared(p, col)
+        vectors.append((ints, a - _min_exponent_with(p, norm.q[j], radius)))
+    return Lattice._hermite(p, vectors)
 
 
 def ball_radius_of(norm: NormSpec, lattice: Lattice) -> Fraction | None:
     """Smallest R with ball(R) = L, or None when L is not an N-ball."""
-    r = max(norm.eval(col) for col in lattice.basis)
+    r = max(norm.eval(col) for col in lattice.cols) * lattice.p**lattice.scale
     return r if ball_of_radius(norm, r) == lattice else None
 
 
@@ -556,7 +578,7 @@ def intermediary_balls(norm: NormSpec, lattice: Lattice) -> LatticeChain:
     if radius is None:
         raise ValueError("lattice is not a ball of this norm")
     p = norm.p
-    values = {qi * Fraction(p) ** -_min_exponent_with(p, qi / radius) for qi in norm.q}
+    values = {qi * Fraction(p) ** -_min_exponent_with(p, qi, radius) for qi in norm.q}
     radii = sorted(values - {radius} | {radius / p})
     return LatticeChain((*(ball_of_radius(norm, r) for r in radii), lattice))
 
@@ -582,12 +604,9 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
     p, d = top.p, top.dimension
     spaces = []
     for lat in chain.lattices:
-        gens = []
-        for col in lat.basis:
-            coords = top.coordinates_of(col)
-            if coords is None:
-                raise StructuralError("chain lattice not contained in its top")
-            gens.append([frac_mod_p(c, p) for c in coords])
+        gens = [top._solve(col, lat.scale) for col in lat.cols]
+        if None in gens:
+            raise StructuralError("chain lattice not contained in its top")
         spaces.append(Subspace.from_generators(p, d, gens))
     coords_fs: list[tuple[int, ...]] = []
     for j in range(1, d + 1):
@@ -598,12 +617,13 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
             if larger.contains_vector(w) and not smaller.contains_vector(w)
         )
         coords_fs.append(pick)
-    fs = tuple(top.member_vector(w) for w in coords_fs)
+    fs = [top._combine(w) for w in coords_fs]
     for j in range(d + 1):
-        vectors = [fs[i] if i < j else tuple(x * p for x in fs[i]) for i in range(d)]
-        if Lattice.from_basis(p, vectors) != chain.lattices[j]:
+        vectors = [(f if i < j else [x * p for x in f], top.scale) for i, f in enumerate(fs)]
+        if Lattice._hermite(p, vectors) != chain.lattices[j]:
             raise AssertionError("adapted basis fails the chain decomposition")
-    return fs
+    s = p**top.scale
+    return tuple(tuple(Fraction(x, s) for x in f) for f in fs)
 
 
 def norm_from_chain(chain: LatticeChain, q: Sequence) -> NormSpec:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .dendrogram import mask_members
-from .network import ClusterNetwork, NetworkVertex, is_r_ball, minimal_common_superball
+from .network import ClusterNetwork, NetworkVertex, first_r_ancestor, subfamily
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,13 @@ def _pair_chains(
 ) -> Iterator[tuple[tuple[int, int], list[tuple[str, list[int]]]]]:
     """Each r-ball I with a minimal common superball J, in vertex order, as
     ((I, J) ids, [(metric, ball ids of its chain from I up to J)]), the
-    metrics of r in sorted order."""
+    metrics of r in sorted order. r is checked once, up front."""
+    r = subfamily(net, r)
     metrics = sorted(r)
     for v in net.vertices:
-        if not is_r_ball(net, v, r):
+        if not r <= v.present_in:
             continue
-        j = minimal_common_superball(net, v, r)
+        j = first_r_ancestor(net, v, r)
         if j is not None:
             yield (v.vertex_id, j.vertex_id), [
                 (mid, [u.vertex_id for u in intermediary_chain(net, v, j, mid)])

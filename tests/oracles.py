@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from clusternets.errors import StructuralError
+
 
 def minimax_path_distance(entries, a: int, b: int) -> Fraction:
     """Minimum over all simple paths a -> b of the path's largest edge."""
@@ -234,3 +236,70 @@ def norm_by_definition(norm, z) -> Fraction:
             v -= 1
         best = max(best, qi * Fraction(p) ** -v)
     return best
+
+
+def _pval(x: Fraction, p: int) -> int:
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def hermite_by_definition(p: int, vectors) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    """Column Hermite form over Z_p of a spanning set, in Fraction arithmetic.
+
+    Row by row, the column with the least valuation there is the pivot; it
+    is divided by its unit part, so the pivot is p^(a_j), and it clears that
+    row in every other column. Then each entry below a pivot is replaced by
+    its truncated p-adic expansion modulo p^(a_i). Returns (basis columns,
+    exponents a_j); raises StructuralError when the span is not full rank.
+    """
+    cols = [[Fraction(x) for x in v] for v in vectors]
+    d = len(cols[0])
+    cols = [c for c in cols if any(c)]
+    basis = []
+    for row in range(d):
+        nonzero = [(_pval(c[row], p), i) for i, c in enumerate(cols) if c[row] != 0]
+        if not nonzero:
+            raise StructuralError("vectors do not span a full-rank lattice")
+        v, idx = min(nonzero)
+        pivot = cols.pop(idx)
+        unit = pivot[row] / Fraction(p) ** v
+        pivot = [x / unit for x in pivot]
+        for c in cols:
+            coef = c[row] / pivot[row]
+            for i in range(row, d):
+                c[i] -= coef * pivot[i]
+        basis.append(pivot)
+        cols = [c for c in cols if any(c)]
+    exps = tuple(_pval(basis[j][j], p) for j in range(d))
+    for j in range(d):
+        for i in range(j + 1, d):
+            x = basis[j][i]
+            if x == 0 or _pval(x, p) >= exps[i]:
+                residue = Fraction(0)
+            else:
+                v = _pval(x, p)
+                unit, mod = x / Fraction(p) ** v, p ** (exps[i] - v)
+                residue = Fraction(p) ** v * (unit.numerator * pow(unit.denominator, -1, mod) % mod)
+            coef = (x - residue) / basis[i][i]
+            for t in range(i, d):
+                basis[j][t] -= coef * basis[i][t]
+    return tuple(tuple(c) for c in basis), exps
+
+
+def member_by_definition(p: int, basis, vec) -> bool:
+    """True iff vec is a Z_p-combination of the triangular basis columns,
+    by a Fraction triangular solve."""
+    x = [Fraction(v) for v in vec]
+    for j, col in enumerate(basis):
+        c = x[j] / col[j]
+        if c != 0 and _pval(c, p) < 0:
+            return False
+        for i in range(j, len(x)):
+            x[i] -= c * col[i]
+    return True

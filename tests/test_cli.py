@@ -421,6 +421,10 @@ GOLDEN = {
         "0e68a2f95d4089fe08ab8fafd31b6a32c01dfa6741c723ae85245ef82686f845",
     ("padic-verify", "--p", "2", "--d", "3", "--q", "3/4,3/4,7/8", "--window", "1"):
         "d12d02c968785e5bd54cdc128dcab4cfbbc2d88eeb473e09ff80e2d919580943",
+    ("padic-verify", "--p", "3", "--d", "3", "--q", "5/9,2/3,7/9"):
+        "b732be07a9587a5e0cdfc8a9eb7fb6c59f77c601a04e384e60eb8957d81f036f",
+    ("padic-verify", "--p", "5", "--d", "2", "--q", "3/5,4/5"):
+        "5645817e2da31d60d7a7d5e061cebee8bc603c6cb6ed3f7419dccf06e6f604f9",
 }
 
 

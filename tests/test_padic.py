@@ -290,6 +290,77 @@ class TestLatticeCanonicalForm:
         assert not lat.contains_vector((F(1, 2), 0))
 
 
+def hermite_entry(rng, p):
+    """An int (often negative), a Fraction over a p-power or over a
+    denominator coprime to p, or the str of a Fraction."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-30, 30)
+    if kind == 1:
+        return -p * rng.randint(1, 9)
+    if kind == 2:
+        return F(rng.randint(-30, 30), p ** rng.randint(1, 3))
+    if kind == 3:
+        return F(rng.randint(-30, 30), rng.choice([u for u in range(2, 12) if u % p]))
+    return str(F(rng.randint(-30, 30), rng.choice((1, p, p * p, 7))))
+
+
+def hermite_input(rng, p, d):
+    """d to d+2 vectors; about one input in six spans too little."""
+    vectors = [
+        [hermite_entry(rng, p) for _ in range(d)] for _ in range(d + rng.randint(0, 2))
+    ]
+    if rng.randrange(6) == 0:
+        drop = rng.randrange(d)
+        for v in vectors:
+            v[drop] = 0
+    return vectors
+
+
+class TestHermiteAgainstDefinition:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_canonical_form_dilation_and_membership(self, p):
+        rng = random.Random(31 * p)
+        outcomes = {"deficient": 0, True: 0, False: 0}
+        for d in range(1, 5):
+            previous = None
+            for _ in range(20):
+                vectors = hermite_input(rng, p, d)
+                try:
+                    basis, exps = oracles.hermite_by_definition(p, vectors)
+                except StructuralError:
+                    with pytest.raises(StructuralError, match="full-rank"):
+                        Lattice.from_basis(p, vectors)
+                    outcomes["deficient"] += 1
+                    continue
+                lat = Lattice.from_basis(p, vectors)
+                assert (lat.basis, lat.exponents) == (basis, exps), vectors
+                assert lat.describe() == {
+                    "diag_exponents": list(exps),
+                    "basis_columns": [[str(x) for x in col] for col in basis],
+                }
+                assert Lattice.from_basis(p, basis) == lat
+                for k in range(-3, 4):
+                    scaled = [[x * F(p) ** k for x in col] for col in basis]
+                    got = lat.dilate(k)
+                    assert (got.basis, got.exponents) == oracles.hermite_by_definition(p, scaled)
+                    rebuilt = Lattice.from_basis(p, scaled)
+                    assert got == rebuilt and hash(got) == hash(rebuilt)
+                for _ in range(8):
+                    coeffs = [F(rng.randint(-9, 9), rng.choice((1, 1, p, 3 * p + 1))) for _ in basis]
+                    vec = [sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(d)]
+                    vec = [str(x) if rng.randrange(3) == 0 else x for x in vec]
+                    member = oracles.member_by_definition(p, basis, vec)
+                    assert lat.contains_vector(vec) == member, (vectors, vec)
+                    outcomes[member] += 1
+                for other in (previous, lat.dilate(1), lat.dilate(-1)):
+                    if other is not None:
+                        want = all(oracles.member_by_definition(p, basis, c) for c in other.basis)
+                        assert lat.contains_lattice(other) == want
+                previous = lat
+        assert min(outcomes.values()) > 0, outcomes
+
+
 class TestCounting:
     @pytest.mark.parametrize("p,d,strict", [(2, 2, 3), (3, 2, 4), (2, 3, 14)])
     def test_lattices_between_counts(self, p, d, strict):

@@ -14,6 +14,7 @@ from clusternets import (
     network_dimension,
 )
 from clusternets.dendrogram import mask_of
+from clusternets import simplicial
 from clusternets.simplicial import complex_json_dict
 
 import oracles
@@ -203,6 +204,24 @@ class TestDimension:
         rep = network_dimension(net_c1, {"m1", "m2"})
         top = max(len(s.vertex_ids) for s in cx.simplices)
         assert rep.overall == top - 1
+
+
+    def test_subfamily_checked_once_per_pass(self, net_c1, monkeypatch):
+        checked = []
+        check = simplicial.subfamily
+
+        def counted(net, r):
+            checked.append(r)
+            return check(net, r)
+
+        monkeypatch.setattr(simplicial, "subfamily", counted)
+        assert network_dimension(net_c1, {"m1", "m2"}).overall == 2
+        assert build_complex(net_c1, {"m1"}).simplices
+        assert len(checked) == 2
+        with pytest.raises(ValueError, match="empty"):
+            network_dimension(net_c1, set())
+        with pytest.raises(LookupError, match="nope"):
+            build_complex(net_c1, {"m1", "nope"})
 
 
 class TestJson:
