@@ -8,20 +8,9 @@ correspondence between maximal lattice chains and weighted-max-norm ball
 chains at small (p, d) by exhaustive enumeration.
 """
 
-from .dendrogram import Cluster, Dendrogram, build_dendrogram, clusters_at, sup_cluster
+from .dendrogram import Cluster, Dendrogram, build_dendrogram, sup_cluster
 from .errors import StructuralError
-from .metric import (
-    DistanceMatrix,
-    Partition,
-    UltrametricMatrix,
-    ValidationReport,
-    as_fraction,
-    chain_distance,
-    epsilon_components,
-    quotient_matrix,
-    validate,
-    zero_quotient,
-)
+from .metric import DistanceMatrix, as_fraction, chain_distance
 from .network import (
     ClusterNetwork,
     NetworkEdge,
@@ -29,7 +18,6 @@ from .network import (
     is_r_ball,
     merge_dendrograms,
     minimal_common_superball,
-    restrict,
     to_dot,
     to_json,
     to_json_dict,

@@ -110,7 +110,7 @@ def _parse_subfamily(arg: str | None, available: tuple[str, ...]) -> frozenset[s
     return ids
 
 
-def _parse_weights(arg: str, p: int, d: int) -> tuple:
+def _parse_weights(arg: str, d: int) -> tuple:
     q = tuple(as_fraction(x) for x in arg.split(","))
     if len(q) != d:
         raise InputError(f"got {len(q)} weights for dimension {d}")
@@ -161,7 +161,7 @@ def cmd_padic_verify(args) -> int:
     if args.q is None:
         q = default_weights(args.p, args.d)
     else:
-        q = _parse_weights(args.q, args.p, args.d)
+        q = _parse_weights(args.q, args.d)
     for x in q:
         if not (0 < x <= 1) or x * args.p <= 1:
             hint = "" if args.q else "; the default weights need d < p^2, so pass --q"

@@ -12,14 +12,7 @@ from fractions import Fraction
 from typing import Iterator
 
 # chain_distance is unused here; bench/replay.py wraps it as dendrogram.chain_distance
-from .metric import (
-    DistanceMatrix,
-    Partition,
-    Rational,
-    as_fraction,
-    chain_distance,
-    single_linkage,
-)
+from .metric import DistanceMatrix, chain_distance, single_linkage
 
 
 def mask_of(indices) -> int:
@@ -46,7 +39,8 @@ class Cluster:
 
     The radius is the maximum pairwise chain distance inside the member set,
     which is also the smallest threshold at which the set appears as a
-    component. Zero-quotient blocks (usually singletons) have radius 0.
+    component. Blocks of points at chain distance zero (usually singletons)
+    have radius 0.
     """
 
     members: int
@@ -130,20 +124,3 @@ def sup_cluster(dendro: Dendrogram, a: str, b: str) -> Cluster:
         if c.members & want == want:
             return c
     raise AssertionError("root cluster must contain every pair")
-
-
-def clusters_at(dendro: Dendrogram, eps: Rational) -> Partition:
-    """Cut the tree at height eps: maximal clusters with radius <= eps."""
-    eps = as_fraction(eps)
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    n = len(dendro.labels)
-    taken: list[int] = []
-    covered = 0
-    for c in reversed(dendro.clusters):  # size-descending
-        if c.radius <= eps and c.members & covered == 0:
-            taken.append(c.members)
-            covered |= c.members
-    if covered != (1 << n) - 1:
-        raise AssertionError("clusters with radius <= eps must cover the point set")
-    return Partition(n, tuple(sorted(mask_members(m) for m in taken)))

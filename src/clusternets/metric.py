@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import StructuralError
 
@@ -51,39 +50,11 @@ def as_fraction(value: Rational) -> Fraction:
     return x
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint nonempty blocks of label indices covering range(n)."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise StructuralError("empty block in partition")
-            if seen.intersection(block):
-                raise StructuralError("overlapping blocks in partition")
-            seen.update(block)
-        if seen != set(range(self.n)):
-            raise StructuralError("blocks do not cover the point set")
-
-    def as_label_sets(self, labels: Sequence[str]) -> list[list[str]]:
-        return [[labels[i] for i in block] for block in self.blocks]
-
-
-def _canonical_blocks(n: int, groups: Iterable[Iterable[int]]) -> Partition:
-    blocks = sorted(tuple(sorted(g)) for g in groups)
-    return Partition(n, tuple(blocks))
-
-
 class DistanceMatrix:
     """Symmetric dissimilarity over labeled points, exact rational entries.
 
     The triangle inequality is *not* an invariant: the chain distance is
-    well defined for any symmetric dissimilarity, and `validate` reports
-    metric/ultrametric status separately.
+    well defined for any symmetric dissimilarity.
     """
 
     __slots__ = ("labels", "entries")
@@ -145,7 +116,7 @@ class DistanceMatrix:
 
     def __eq__(self, other) -> bool:
         return (
-            type(other) in (DistanceMatrix, UltrametricMatrix)
+            type(other) is DistanceMatrix
             and self.labels == other.labels
             and self.entries == other.entries
         )
@@ -192,124 +163,6 @@ class DistanceMatrix:
             )
         entries = [rows[name] for name in names]
         return cls(names, entries)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["label", *self.labels])
-        for i, name in enumerate(self.labels):
-            writer.writerow([name, *[str(v) for v in self.entries[i]]])
-        return out.getvalue()
-
-
-class UltrametricMatrix(DistanceMatrix):
-    """DistanceMatrix satisfying the strong triangle inequality.
-
-    Zero off-diagonal entries are permitted (degenerate pairs); collapse
-    them explicitly with `zero_quotient`.
-    """
-
-    def __init__(self, labels, entries, _checked: bool = False):
-        super().__init__(labels, entries)
-        if not _checked:
-            bad = _strong_triangle_violations(self.entries, first_only=True)
-            if bad:
-                i, j, k = bad[0]
-                raise StructuralError(
-                    f"strong triangle violated on ({self.labels[i]},{self.labels[j]},"
-                    f"{self.labels[k]}): {self.entries[i][j]} > "
-                    f"max({self.entries[i][k]}, {self.entries[k][j]})"
-                )
-
-
-def _strong_triangle_violations(entries, first_only: bool = False) -> list[tuple[int, int, int]]:
-    n = len(entries)
-    out = []
-    for i in range(n):
-        row_i = entries[i]
-        for j in range(i + 1, n):
-            d_ij = row_i[j]
-            row_j = entries[j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if d_ij > max(row_i[k], row_j[k]):
-                    out.append((i, j, k))
-                    if first_only:
-                        return out
-    return out
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    is_metric: bool
-    is_ultrametric: bool
-    violations: tuple[dict, ...] = field(default_factory=tuple)
-
-
-def validate(dm: DistanceMatrix) -> ValidationReport:
-    """Report metric and ultrametric status of a structurally valid matrix.
-
-    "Metric" here means the ordinary triangle inequality holds (degenerate
-    zero distances between distinct points are tolerated, so every
-    ultrametric in the degenerate sense is also a metric in this sense).
-    Violations name the offending triple.
-    """
-    labels, entries = dm.labels, dm.entries
-    n = dm.n
-    violations = []
-    is_metric = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if entries[i][j] > entries[i][k] + entries[k][j]:
-                    is_metric = False
-                    violations.append(
-                        {
-                            "kind": "triangle",
-                            "triple": (labels[i], labels[j], labels[k]),
-                            "detail": f"{entries[i][j]} > {entries[i][k]} + {entries[k][j]}",
-                        }
-                    )
-    strong = _strong_triangle_violations(entries)
-    for i, j, k in strong:
-        violations.append(
-            {
-                "kind": "strong_triangle",
-                "triple": (labels[i], labels[j], labels[k]),
-                "detail": f"{entries[i][j]} > max({entries[i][k]}, {entries[k][j]})",
-            }
-        )
-    is_ultrametric = not strong and is_metric
-    return ValidationReport(is_metric, is_ultrametric, tuple(violations))
-
-
-def epsilon_components(dm: DistanceMatrix, eps: Rational) -> Partition:
-    """Connected components of the graph with edges d(i,j) <= eps."""
-    eps = as_fraction(eps)
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    n = dm.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dm.entries[i][j] <= eps:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return _canonical_blocks(n, groups.values())
 
 
 def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, ...], ...]]]:
@@ -359,7 +212,7 @@ def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, 
     return merges
 
 
-def chain_distance(dm: DistanceMatrix) -> UltrametricMatrix:
+def chain_distance(dm: DistanceMatrix) -> DistanceMatrix:
     """Minimax path closure: the largest ultrametric below the input.
 
     d(a,b) is the minimum over paths a -> b of the maximum edge weight along
@@ -376,24 +229,4 @@ def chain_distance(dm: DistanceMatrix) -> UltrametricMatrix:
                     for b in other:
                         row[b] = value
                         result[b][a] = value
-    return UltrametricMatrix(dm.labels, result, _checked=True)
-
-
-def zero_quotient(um: UltrametricMatrix) -> Partition:
-    """Maximal blocks of points at pairwise chain distance zero."""
-    return epsilon_components(um, Fraction(0))
-
-
-def quotient_matrix(um: UltrametricMatrix, parts: Partition) -> UltrametricMatrix:
-    """Induced matrix on zero-quotient blocks; block label = first member name.
-
-    Within an ultrametric, distance between blocks is independent of the
-    chosen representatives, so representatives are taken from each block's
-    smallest index.
-    """
-    if parts.n != um.n:
-        raise StructuralError("partition size does not match matrix")
-    reps = [block[0] for block in parts.blocks]
-    labels = [um.labels[r] for r in reps]
-    entries = [[um.entries[a][b] for b in reps] for a in reps]
-    return UltrametricMatrix(labels, entries)
+    return DistanceMatrix(dm.labels, result)

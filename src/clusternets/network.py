@@ -103,12 +103,6 @@ class ClusterNetwork:
         except KeyError:
             raise LookupError(f"unknown metric id {metric_id!r}") from None
 
-    def vertex_by_members(self, members: int) -> NetworkVertex:
-        for v in self.vertices:
-            if v.members == members:
-                return v
-        raise LookupError(f"no vertex with members mask {members:b}")
-
     def member_names(self, v: NetworkVertex) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in mask_members(v.members))
 
@@ -160,14 +154,6 @@ def merge_dendrograms(dendros: list[Dendrogram], ids: list[str]) -> ClusterNetwo
         )
     )
     return ClusterNetwork(labels, tuple(ids), vertices, edges)
-
-
-def restrict(net: ClusterNetwork, metric_id: str) -> tuple[set[int], set[tuple[int, int]]]:
-    """Member-set and edge view of a single metric inside the network."""
-    links = net.parent_ids(metric_id)
-    verts = {v.members for v in net.vertices if metric_id in v.present_in}
-    edges = {(net.vertices[c].members, net.vertices[p].members) for c, p in links.items()}
-    return verts, edges
 
 
 def subfamily(net: ClusterNetwork, r: frozenset[str] | set[str]) -> frozenset[str]:

@@ -348,14 +348,6 @@ def enumerate_subspaces(p: int, d: int) -> list[Subspace]:
     return out
 
 
-def gaussian_binomial(d: int, k: int, p: int) -> int:
-    num = den = 1
-    for i in range(k):
-        num *= p ** (d - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
 def complete_flags(p: int, d: int) -> list[tuple[Subspace, ...]]:
     """All chains of proper subspaces with dimensions 1 .. d-1."""
     return _flags_among(enumerate_subspaces(p, d))
@@ -445,7 +437,9 @@ class NormSpec:
     otherwise it is computed, which rejects a singular A. Values are
     decided on integers: `rows` is the integer matrix A.D, with D the lcm
     of the denominators of A, `shift` is v_p(D), and `heaviest_first`
-    lists the rows by decreasing weight.
+    lists the rows by decreasing weight. Balls read `inverse_cols`: each
+    column of A^-1 as (V, a), V an integer vector, the column V / (p^a u)
+    for a unit u.
     """
 
     p: int
@@ -453,6 +447,9 @@ class NormSpec:
     matrix: Matrix
     inverse: Matrix | None = field(default=None, compare=False, repr=False)
     rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    inverse_cols: tuple[tuple[tuple[int, ...], int], ...] = field(
+        init=False, compare=False, repr=False
+    )
     shift: int = field(init=False, compare=False, repr=False)
     heaviest_first: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -470,16 +467,22 @@ class NormSpec:
         den = lcm(*(x.denominator for row in entries for x in row))
         rows = tuple(tuple(int(x * den) for x in row) for row in entries)
         object.__setattr__(self, "rows", rows)
-        if self.inverse is None:
+        given = self.inverse is not None
+        if not given:
             object.__setattr__(self, "inverse", mat_inv(self.matrix))  # raises if singular
-        else:
-            # (A.D)(inverse.E) = D.E.I, on the integer copies
-            e = lcm(*(x.denominator for row in self.inverse for x in row))
-            inv = [[x.numerator * (e // x.denominator) for x in row] for row in self.inverse]
-            if [[sum(map(mul, row, col)) for col in zip(*inv)] for row in rows] != [
-                [den * e * (i == j) for j in range(d)] for i in range(d)
-            ]:
-                raise StructuralError("given inverse is not the inverse of the frame matrix")
+        cols = []  # column j of the inverse as V_j / E_j, E_j the lcm of its denominators
+        for col in zip(*self.inverse):
+            e = lcm(*(x.denominator for x in col))
+            cols.append((tuple(x.numerator * (e // x.denominator) for x in col), e))
+        # (A.D)(V_j) = D.E_j.e_j, on the integer copies
+        if given and (
+            len(self.inverse) != d
+            or any(len(row) != d for row in self.inverse)
+            or [[sum(map(mul, row, v)) for v, _ in cols] for row in rows]
+            != [[den * e * (i == j) for j, (_, e) in enumerate(cols)] for i in range(d)]
+        ):
+            raise StructuralError("given inverse is not the inverse of the frame matrix")
+        object.__setattr__(self, "inverse_cols", tuple((v, pval(e, self.p)) for v, e in cols))
         object.__setattr__(self, "shift", pval(den, self.p))
         object.__setattr__(
             self, "heaviest_first", tuple(sorted(range(d), key=lambda i: -self.q[i]))
@@ -552,10 +555,9 @@ def ball_of_radius(norm: NormSpec, radius: Fraction | int | str) -> Lattice:
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     p = norm.p
-    vectors = []
-    for j, col in enumerate(zip(*norm.inverse)):
-        ints, a = _cleared(p, col)
-        vectors.append((ints, a - _min_exponent_with(p, norm.q[j], radius)))
+    vectors = [
+        (v, a - _min_exponent_with(p, qj, radius)) for (v, a), qj in zip(norm.inverse_cols, norm.q)
+    ]
     return Lattice._hermite(p, vectors)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from clusternets import DistanceMatrix
+from clusternets.dendrogram import mask_members
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,6 +35,19 @@ INCOMPAT_2 = DistanceMatrix(
     ["A", "B", "C", "D"],
     [[0, 10, 10, 10], [10, 0, 1, 1], [10, 1, 0, 1], [10, 1, 1, 0]],
 )
+
+
+def cut(dendro, eps):
+    """Clusters born at or below eps whose parent is born above it, as index tuples."""
+    return sorted(
+        mask_members(c.members)
+        for c, par in zip(dendro.clusters, dendro.parent)
+        if c.radius <= eps and (par is None or dendro.clusters[par].radius > eps)
+    )
+
+
+def vertex_by_members(net, members: int):
+    return next(v for v in net.vertices if v.members == members)
 
 
 @pytest.fixture

@@ -56,6 +56,17 @@ def threshold_components(entries, eps: Fraction) -> list[tuple[int, ...]]:
     return sorted(blocks)
 
 
+def strong_triangle_violations(entries) -> list[tuple[int, int, int]]:
+    """Every triple (i, j, k), i < j, with d(i,j) > max(d(i,k), d(k,j))."""
+    n = len(entries)
+    return [
+        (i, j, k)
+        for i, j in combinations(range(n), 2)
+        for k in range(n)
+        if k not in (i, j) and entries[i][j] > max(entries[i][k], entries[k][j])
+    ]
+
+
 def balls_by_definition(entries, labels) -> set[frozenset]:
     """Every threshold component of a dissimilarity, as a set of labels.
 
@@ -205,6 +216,15 @@ def brute_force_subspaces(p: int, d: int) -> list[frozenset]:
         if closed:
             subspaces.append(subset)
     return subspaces
+
+
+def gaussian_binomial(d: int, k: int, p: int) -> int:
+    """Number of k-dimensional subspaces of F_p^d, by the product formula."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
 
 def brute_force_flag_chains(p: int, d: int) -> int:

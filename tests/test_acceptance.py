@@ -18,12 +18,14 @@ from clusternets import (
     check_norm_axioms,
     flag_count,
     intermediary_balls,
+    is_adjacent,
     lattices_between,
     maximal_chains,
     merge_dendrograms,
     network_dimension,
     norm_from_chain,
     sup_cluster,
+    undirected_cycles,
     verify_correspondence,
 )
 from clusternets.cli import main
@@ -271,3 +273,38 @@ def test_c11_cli_determinism(tmp_path, data_dir, capsys):
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes(), argv
     _ok(f"11 CLI determinism over {len(invocations)} invocations")
+
+
+def test_c12_network_cycles_span_the_cycle_space():
+    """Cycle count is E - V + 1 on random 2-3-metric families; each cycle is simple."""
+    rng = random.Random(1212)
+    for _ in range(40):
+        n, m = rng.randint(2, 7), rng.randint(2, 3)
+        labels = [f"p{i}" for i in range(n)]
+        dendros = [
+            build_dendrogram(DistanceMatrix(labels, oracles.random_dissimilarity(rng, n)))
+            for _ in range(m)
+        ]
+        net = merge_dendrograms(dendros, [f"m{k}" for k in range(m)])
+        pairs = {frozenset((e.child, e.parent)) for e in net.edges}
+        cycles = undirected_cycles(net)
+        # every metric's tree holds the root, so the network is connected
+        assert len(cycles) == len(pairs) - len(net.vertices) + 1
+        for cycle in cycles:
+            assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+            assert all(frozenset(hop) in pairs for hop in zip(cycle, cycle[1:] + cycle[:1]))
+    _ok("12 network cycles: E - V + 1 simple closed walks on 40 random families")
+
+
+def test_c13_adjacency_is_subspace_incidence():
+    """Between p.L and L, adjacency is containment; L is adjacent to each, not to p^k.L."""
+    for p, d in Q_BY_CASE:
+        std = Lattice.standard(p, d)
+        strict = [k for k in lattices_between(std) if k not in (std, std.dilate(1))]
+        for i, first in enumerate(strict):
+            assert is_adjacent(first, std) and is_adjacent(std, first)
+            for second in strict[i + 1 :]:
+                nested = first.contains_lattice(second) or second.contains_lattice(first)
+                assert is_adjacent(first, second) == nested
+        assert not any(is_adjacent(std, std.dilate(k)) for k in range(-2, 3))
+    _ok("13 building adjacency: incidence of subspaces of L/pL at 3 (p, d)")

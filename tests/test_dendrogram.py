@@ -8,13 +8,12 @@ from clusternets import (
     StructuralError,
     build_dendrogram,
     chain_distance,
-    clusters_at,
-    epsilon_components,
     sup_cluster,
 )
 from clusternets.dendrogram import mask_members
 
 import oracles
+from conftest import cut
 
 F = Fraction
 
@@ -135,22 +134,18 @@ class TestSup:
 
 
 class TestClustersAt:
+    """The tree cut at eps: clusters born at or below eps under a parent born above."""
+
     def test_matches_epsilon_components(self, trio_a):
         d = build_dendrogram(trio_a)
         for eps in (0, 1, 2, F(5, 2), 3, 10):
-            assert clusters_at(d, eps) == epsilon_components(trio_a, eps)
+            assert cut(d, eps) == oracles.threshold_components(trio_a.entries, eps)
 
     def test_above_root_radius_single_block(self, trio_a):
-        d = build_dendrogram(trio_a)
-        assert len(clusters_at(d, 100).blocks) == 1
+        assert len(cut(build_dendrogram(trio_a), 100)) == 1
 
     def test_zero_distinct_points_singletons(self, trio_a):
-        d = build_dendrogram(trio_a)
-        assert len(clusters_at(d, 0).blocks) == 3
-
-    def test_negative_rejected(self, trio_a):
-        with pytest.raises(ValueError):
-            clusters_at(build_dendrogram(trio_a), -1)
+        assert len(cut(build_dendrogram(trio_a), 0)) == 3
 
 
 def test_axioms_on_random_corpus():

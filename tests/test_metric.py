@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from clusternets import (
     DistanceMatrix,
     StructuralError,
-    UltrametricMatrix,
     as_fraction,
+    build_dendrogram,
     chain_distance,
-    epsilon_components,
-    quotient_matrix,
-    validate,
-    zero_quotient,
 )
+from clusternets.dendrogram import mask_members
 
 import oracles
+from conftest import cut
 
 F = Fraction
 
@@ -78,16 +76,11 @@ class TestConstruction:
         with pytest.raises(StructuralError, match="float"):
             DistanceMatrix(["A", "B"], [[0, 0.5], [0.5, 0]])
 
-    def test_ultrametric_constructor_checks_strong_triangle(self):
-        with pytest.raises(StructuralError, match="strong triangle"):
-            UltrametricMatrix(["A", "B", "C"], [[0, 2, 5], [2, 0, 3], [5, 3, 0]])
-
 
 class TestCsv:
     def test_round_trip(self, trio_a, data_dir):
         text = (data_dir / "trio_a.csv").read_text()
         assert DistanceMatrix.from_csv(text) == trio_a
-        assert DistanceMatrix.from_csv(trio_a.to_csv()) == trio_a
 
     def test_fraction_literals(self):
         dm = DistanceMatrix.from_csv("label,x,y\nx,0,3/5\ny,3/5,0\n")
@@ -116,61 +109,50 @@ class TestCsv:
 
 
 class TestValidate:
+    """Ultrametric status, judged by `oracles.strong_triangle_violations`."""
+
     def test_two_points_always_ultrametric(self):
-        rep = validate(DistanceMatrix(["a", "b"], [[0, 1], [1, 0]]))
-        assert rep.is_metric and rep.is_ultrametric
+        dm = DistanceMatrix(["a", "b"], [[0, 1], [1, 0]])
+        assert oracles.strong_triangle_violations(dm.entries) == []
+        assert chain_distance(dm) == dm
 
     def test_collinear_metric_not_ultrametric(self, trio_a):
-        rep = validate(trio_a)
-        assert rep.is_metric
-        assert not rep.is_ultrametric
-        kinds = {v["kind"] for v in rep.violations}
-        assert kinds == {"strong_triangle"}
+        assert oracles.strong_triangle_violations(trio_a.entries) == [(0, 2, 1)]
+        assert oracles.strong_triangle_violations(chain_distance(trio_a).entries) == []
 
     def test_triangle_violation_reported(self):
         dm = DistanceMatrix(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-        rep = validate(dm)
-        assert not rep.is_metric
-        assert not rep.is_ultrametric
-        assert any(v["kind"] == "triangle" for v in rep.violations)
-
-    def test_ultrametric_implies_metric(self):
-        um = UltrametricMatrix(
-            ["a", "b", "c", "d"],
-            [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]],
-        )
-        rep = validate(um)
-        assert rep.is_ultrametric and rep.is_metric and not rep.violations
+        assert oracles.strong_triangle_violations(dm.entries) == [(0, 2, 1)]
+        um = chain_distance(dm)
+        assert um.get("a", "c") == 1
+        assert oracles.strong_triangle_violations(um.entries) == []
 
     def test_degenerate_zero_still_ultrametric(self):
         um = DistanceMatrix(["a", "b", "c"], [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-        rep = validate(um)
-        assert rep.is_ultrametric and rep.is_metric
+        assert oracles.strong_triangle_violations(um.entries) == []
+        assert chain_distance(um) == um
 
 
 class TestEpsilonComponents:
+    """Threshold components: the oracle by hand, the dendrogram cut against it."""
+
     def test_threshold_two(self, trio_a):
-        parts = epsilon_components(trio_a, 2)
-        assert parts.as_label_sets(trio_a.labels) == [["A", "B"], ["C"]]
+        assert oracles.threshold_components(trio_a.entries, 2) == [(0, 1), (2,)]
+        assert cut(build_dendrogram(trio_a), 2) == [(0, 1), (2,)]
 
     def test_threshold_three_connects_chain(self, trio_a):
-        parts = epsilon_components(trio_a, 3)
-        assert parts.as_label_sets(trio_a.labels) == [["A", "B", "C"]]
+        assert oracles.threshold_components(trio_a.entries, 3) == [(0, 1, 2)]
+        assert cut(build_dendrogram(trio_a), 3) == [(0, 1, 2)]
 
     def test_zero_threshold_singletons(self, trio_a):
-        parts = epsilon_components(trio_a, 0)
-        assert parts.blocks == ((0,), (1,), (2,))
-
-    def test_negative_eps_rejected(self, trio_a):
-        with pytest.raises(ValueError):
-            epsilon_components(trio_a, "-1")
+        assert oracles.threshold_components(trio_a.entries, 0) == [(0,), (1,), (2,)]
+        assert cut(build_dendrogram(trio_a), 0) == [(0,), (1,), (2,)]
 
     @given(dissimilarities(), st.integers(0, 12), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_expansion(self, dm, num, den):
         eps = F(num, den)
-        got = epsilon_components(dm, eps).blocks
-        assert list(got) == oracles.threshold_components(dm.entries, eps)
+        assert cut(build_dendrogram(dm), eps) == oracles.threshold_components(dm.entries, eps)
 
 
 class TestChainDistance:
@@ -185,7 +167,7 @@ class TestChainDistance:
         assert um.get("a", "b") == 7
 
     def test_ultrametric_fixed_point(self):
-        um = UltrametricMatrix(
+        um = DistanceMatrix(
             ["a", "b", "c", "d"],
             [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]],
         )
@@ -234,7 +216,9 @@ class TestChainDistance:
     @settings(max_examples=40, deadline=None)
     def test_components_agree_with_closure(self, dm, num, den):
         eps = F(num, den)
-        assert epsilon_components(dm, eps) == epsilon_components(chain_distance(dm), eps)
+        um = chain_distance(dm)
+        want = oracles.threshold_components(dm.entries, eps)
+        assert oracles.threshold_components(um.entries, eps) == want
 
     def test_random_seeded_oracle_sweep(self):
         rng = random.Random(20240817)
@@ -244,25 +228,19 @@ class TestChainDistance:
             dm = DistanceMatrix([f"p{i}" for i in range(n)], entries)
             got = chain_distance(dm)
             assert [list(r) for r in got.entries] == oracles.minimax_matrix(entries)
+            assert oracles.strong_triangle_violations(got.entries) == []
 
 
 class TestZeroQuotient:
+    """Blocks at chain distance zero are the dendrogram's radius-0 leaves."""
+
     def test_all_positive_gives_singletons(self, trio_a):
-        parts = zero_quotient(chain_distance(trio_a))
-        assert parts.blocks == ((0,), (1,), (2,))
+        leaves = build_dendrogram(chain_distance(trio_a)).clusters[:3]
+        assert [mask_members(c.members) for c in leaves] == [(0,), (1,), (2,)]
+        assert {c.radius for c in leaves} == {0}
 
     def test_zero_pair_collapses(self):
-        um = UltrametricMatrix(["a", "b", "c"], [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-        parts = zero_quotient(um)
-        assert parts.as_label_sets(um.labels) == [["a", "b"], ["c"]]
-
-    def test_induced_matrix_is_nondegenerate_ultrametric(self):
-        um = UltrametricMatrix(["a", "b", "c"], [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-        q = quotient_matrix(um, zero_quotient(um))
-        assert q.labels == ("a", "c")
-        assert q.get("a", "c") == 1
-        rep = validate(q)
-        assert rep.is_ultrametric
-        assert all(
-            q.entries[i][j] > 0 for i in range(q.n) for j in range(q.n) if i != j
-        )
+        dm = DistanceMatrix(["a", "b", "c"], [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        d = build_dendrogram(dm)
+        leaves = [d.member_names(c) for c in d.clusters if c.radius == 0]
+        assert leaves == [("c",), ("a", "b")]

@@ -11,12 +11,13 @@ from clusternets import (
     is_r_ball,
     merge_dendrograms,
     minimal_common_superball,
-    restrict,
     to_dot,
     to_json,
     undirected_cycles,
 )
 from clusternets.dendrogram import mask_of
+
+from conftest import vertex_by_members
 
 F = Fraction
 
@@ -74,8 +75,12 @@ class TestMerge:
     def test_restriction_recovers_each_tree(self, net_c1):
         net, dendros = net_c1
         for dendro, mid in zip(dendros, ["m1", "m2"]):
-            verts, edges = restrict(net, mid)
+            verts = {v.members for v in net.vertices if mid in v.present_in}
             assert verts == {c.members for c in dendro.clusters}
+            edges = {
+                (net.vertices[c].members, net.vertices[p].members)
+                for c, p in net.parent_ids(mid).items()
+            }
             want_edges = {
                 (dendro.clusters[c].members, dendro.clusters[p].members)
                 for c, p in dendro.edges
@@ -84,10 +89,10 @@ class TestMerge:
 
     def test_vertices_have_exact_radii_per_metric(self, net_c1):
         net, _ = net_c1
-        ab = net.vertex_by_members(mask_of([net.labels.index(x) for x in "AB"]))
+        ab = vertex_by_members(net, mask_of([net.labels.index(x) for x in "AB"]))
         assert ab.present_in == frozenset({"m1"})
         assert ab.radius("m1") == 2
-        abc = net.vertex_by_members(mask_of(range(3)))
+        abc = vertex_by_members(net, mask_of(range(3)))
         assert abc.radius("m1") == 3 and abc.radius("m2") == 5
 
     def test_label_mismatch_rejected(self, trio_a, quad_a):
@@ -141,12 +146,12 @@ class TestMerge:
 class TestRBalls:
     def test_singleton_is_ball_everywhere(self, net_c1):
         net, _ = net_c1
-        b = net.vertex_by_members(1 << net.labels.index("B"))
+        b = vertex_by_members(net, 1 << net.labels.index("B"))
         assert is_r_ball(net, b, {"m1", "m2"})
 
     def test_one_tree_cluster_is_not_common_ball(self, net_c1):
         net, _ = net_c1
-        ab = net.vertex_by_members(mask_of([0, 1]))
+        ab = vertex_by_members(net, mask_of([0, 1]))
         assert not is_r_ball(net, ab, {"m1", "m2"})
         assert is_r_ball(net, ab, {"m1"})
 
@@ -164,24 +169,24 @@ class TestRBalls:
 class TestMinimalSuperball:
     def test_common_superball_of_singleton(self, net_c1):
         net, _ = net_c1
-        b = net.vertex_by_members(1 << net.labels.index("B"))
+        b = vertex_by_members(net, 1 << net.labels.index("B"))
         j = minimal_common_superball(net, b, {"m1", "m2"})
         assert "".join(net.member_names(j)) == "ABC"
 
     def test_root_has_none(self, net_c1):
         net, _ = net_c1
-        root = net.vertex_by_members(mask_of(range(3)))
+        root = vertex_by_members(net, mask_of(range(3)))
         assert minimal_common_superball(net, root, {"m1", "m2"}) is None
 
     def test_single_metric_gives_tree_parent(self, net_c1):
         net, _ = net_c1
-        a = net.vertex_by_members(1 << net.labels.index("A"))
+        a = vertex_by_members(net, 1 << net.labels.index("A"))
         j = minimal_common_superball(net, a, {"m1"})
         assert "".join(net.member_names(j)) == "AB"
 
     def test_non_ball_input_rejected(self, net_c1):
         net, _ = net_c1
-        ab = net.vertex_by_members(mask_of([0, 1]))
+        ab = vertex_by_members(net, mask_of([0, 1]))
         with pytest.raises(ValueError):
             minimal_common_superball(net, ab, {"m1", "m2"})
 
@@ -247,12 +252,10 @@ class TestConstructionChecks:
 
     def test_fused_network_links(self, net_c1):
         net, _ = net_c1
-        a, ab = (net.vertex_by_members(mask_of(ix)) for ix in ([0], [0, 1]))
+        a, ab = (vertex_by_members(net, mask_of(ix)) for ix in ([0], [0, 1]))
         assert net.parent_ids("m1")[a.vertex_id] == ab.vertex_id
         with pytest.raises(LookupError):
             net.parent_ids("nope")
-        with pytest.raises(LookupError):
-            restrict(net, "nope")
 
 
 class TestCycles:

@@ -18,7 +18,7 @@ from clusternets import simplicial
 from clusternets.simplicial import complex_json_dict
 
 import oracles
-from conftest import INCOMPAT_1, INCOMPAT_2
+from conftest import INCOMPAT_1, INCOMPAT_2, vertex_by_members
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def net_c1(trio_a, trio_b):
 
 
 def vertex(net, text):
-    return net.vertex_by_members(mask_of(net.labels.index(ch) for ch in text))
+    return vertex_by_members(net, mask_of(net.labels.index(ch) for ch in text))
 
 
 def names(net, v):
