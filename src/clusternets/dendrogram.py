@@ -23,14 +23,8 @@ def mask_of(indices) -> int:
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    bits = bin(mask)[:1:-1]  # bit i is character i
+    return tuple(i for i, bit in enumerate(bits) if bit == "1")
 
 
 @dataclass(frozen=True)
@@ -103,9 +97,11 @@ def build_dendrogram(dm: DistanceMatrix) -> Dendrogram:
                 del radius[mask]
             else:
                 parent_of[mask] = whole
-    clusters = sorted(  # canonical order: size, then member names
+    # canonical order: size, then member names; labels are sorted, so
+    # member indices order as the names do
+    clusters = sorted(
         (Cluster(m, r) for m, r in radius.items()),
-        key=lambda c: (c.size, [dm.labels[i] for i in mask_members(c.members)]),
+        key=lambda c: (c.size, mask_members(c.members)),
     )
     index = {c.members: i for i, c in enumerate(clusters)}
     parent = tuple(index.get(parent_of.get(c.members)) for c in clusters)

@@ -2,6 +2,8 @@
 
 All values are exact rationals (`fractions.Fraction`); merge orders and
 cluster identities depend on exact ties, so no floats enter any comparison.
+A matrix sorts its distinct values once and keeps one integer rank per
+pair, so every later order and tie is decided on ints.
 Labels are canonicalized to lexicographic order at construction, which makes
 every downstream artifact (dendrograms, networks, serializations)
 deterministic and lets matrices over the same label set share indices.
@@ -13,11 +15,13 @@ import csv
 import io
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import StructuralError
 
 Rational = Fraction | int | str
+_ZERO = Fraction(0)
 
 # Python's default int-to-string limit: a value with more digits could not be
 # written out, and an exponent past it would cost a 10**e first.
@@ -50,14 +54,52 @@ def as_fraction(value: Rational) -> Fraction:
     return x
 
 
+def _order(v: Fraction) -> tuple[int, Fraction]:
+    """Sort key of a rational: floor(v * 2**64) decides in int arithmetic,
+    the Fraction breaks ties."""
+    return ((v.numerator << 64) // v.denominator, v)
+
+
+def _check(labels: tuple[str, ...], found: list[Fraction], zero, grid: list[list[int]]) -> None:
+    """Reject a nonzero diagonal, an asymmetric pair or a negative pair in a
+    grid of value codes (`found[code]` is the value, `zero` the code of 0).
+    The first fault in row-major order is reported: each row's diagonal
+    cell, then its pairs to the right, symmetry before sign. A row without
+    a fault is passed over by one slice comparison."""
+    negative = {c for c, x in enumerate(found) if x.numerator < 0}
+    for i, (row, column) in enumerate(zip(grid, zip(*grid))):
+        if row[i] != zero:
+            raise StructuralError(
+                f"nonzero diagonal at ({labels[i]},{labels[i]}): {found[row[i]]}"
+            )
+        upper = row[i + 1 :]
+        if tuple(upper) == column[i + 1 :] and negative.isdisjoint(upper):
+            continue
+        for j in range(i + 1, len(row)):
+            if row[j] != column[j]:
+                raise StructuralError(
+                    f"asymmetry at ({labels[i]},{labels[j]}): "
+                    f"{found[row[j]]} != {found[column[j]]}"
+                )
+            if row[j] in negative:
+                raise StructuralError(
+                    f"negative entry at ({labels[i]},{labels[j]}): {found[row[j]]}"
+                )
+
+
 class DistanceMatrix:
     """Symmetric dissimilarity over labeled points, exact rational entries.
+
+    A matrix is stored as ranks: `values` holds the distinct off-diagonal
+    values in ascending order, and `ranks` one index into it for each pair
+    i < j, row by row over the upper triangle. Order and ties are therefore
+    decided on ints; `entries` rebuilds the full table of Fractions.
 
     The triangle inequality is *not* an invariant: the chain distance is
     well defined for any symmetric dissimilarity.
     """
 
-    __slots__ = ("labels", "entries")
+    __slots__ = ("labels", "values", "ranks", "_entries")
 
     def __init__(self, labels: Sequence[str], entries: Sequence[Sequence[Rational]]):
         labels = [str(x) for x in labels]
@@ -71,32 +113,52 @@ class DistanceMatrix:
         n = len(labels)
         if len(entries) != n:
             raise StructuralError(f"matrix has {len(entries)} rows for {n} labels")
+        # Every cell becomes a code, one per distinct value. Each distinct
+        # str literal is parsed once. That memo is keyed on str only: True == 1
+        # and both hash alike, and a bool cell must still reach as_fraction.
+        literals: dict[str, int] = {}
+        codes: dict[tuple[int, int], int] = {}  # (numerator, denominator) -> code
+        found: list[Fraction] = []  # code -> value
         rows = []
         for i, row in enumerate(entries):
             if len(row) != n:
                 raise StructuralError(f"row {labels[i]!r} has {len(row)} entries, expected {n}")
-            rows.append([as_fraction(v) for v in row])
-        # Canonical lexicographic label order; permute entries to match.
+            coded = []
+            for v in row:
+                c = literals.get(v) if type(v) is str else None
+                if c is None:
+                    x = as_fraction(v)
+                    c = codes.setdefault((x.numerator, x.denominator), len(found))
+                    if c == len(found):
+                        found.append(x)
+                    if type(v) is str:
+                        literals[v] = c
+                coded.append(c)
+            rows.append(coded)
+        # Canonical lexicographic label order; permute the codes to match.
         order = sorted(range(n), key=lambda i: labels[i])
         self_labels = tuple(labels[i] for i in order)
-        self_entries = tuple(tuple(rows[i][j] for j in order) for i in order)
-        for i in range(n):
-            if self_entries[i][i] != 0:
-                raise StructuralError(
-                    f"nonzero diagonal at ({self_labels[i]},{self_labels[i]}): {self_entries[i][i]}"
-                )
-            for j in range(i + 1, n):
-                if self_entries[i][j] != self_entries[j][i]:
-                    raise StructuralError(
-                        f"asymmetry at ({self_labels[i]},{self_labels[j]}): "
-                        f"{self_entries[i][j]} != {self_entries[j][i]}"
-                    )
-                if self_entries[i][j] < 0:
-                    raise StructuralError(
-                        f"negative entry at ({self_labels[i]},{self_labels[j]}): {self_entries[i][j]}"
-                    )
-        object.__setattr__(self, "labels", self_labels)
-        object.__setattr__(self, "entries", self_entries)
+        grid = [[row[j] for j in order] for row in map(rows.__getitem__, order)]
+        _check(self_labels, found, codes.get((0, 1)), grid)
+        upper = list(chain.from_iterable(row[i + 1 :] for i, row in enumerate(grid)))
+        used = sorted(set(upper), key=lambda c: _order(found[c]))
+        rank = [0] * len(found)
+        for r, c in enumerate(used):
+            rank[c] = r
+        self._fill(self_labels, tuple(found[c] for c in used), tuple(map(rank.__getitem__, upper)))
+
+    @classmethod
+    def _from_ranks(cls, labels, values, ranks) -> "DistanceMatrix":
+        """A matrix that is valid by construction, so it is not checked:
+        canonical labels, distinct non-negative values in ascending order,
+        and every value ranked by some pair."""
+        self = object.__new__(cls)
+        self._fill(labels, values, ranks)
+        return self
+
+    def _fill(self, labels, values, ranks) -> None:
+        for name, value in zip(self.__slots__, (labels, values, ranks, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -111,6 +173,19 @@ class DistanceMatrix:
         except ValueError:
             raise LookupError(f"unknown label {label!r}") from None
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The full n x n table of Fractions, built on first use."""
+        if self._entries is None:
+            n, values = self.n, self.values
+            rows = [[_ZERO] * n for _ in range(n)]
+            pairs = iter(self.ranks)
+            for i, row in enumerate(rows):
+                for j in range(i + 1, n):
+                    row[j] = rows[j][i] = values[next(pairs)]
+            object.__setattr__(self, "_entries", tuple(map(tuple, rows)))
+        return self._entries
+
     def get(self, a: str, b: str) -> Fraction:
         return self.entries[self.index(a)][self.index(b)]
 
@@ -118,11 +193,12 @@ class DistanceMatrix:
         return (
             type(other) is DistanceMatrix
             and self.labels == other.labels
-            and self.entries == other.entries
+            and self.ranks == other.ranks
+            and self.values == other.values
         )
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.entries))
+        return hash((self.labels, self.values, self.ranks))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(labels={list(self.labels)!r}, n={self.n})"
@@ -165,26 +241,12 @@ class DistanceMatrix:
         return cls(names, entries)
 
 
-def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, ...], ...]]]:
-    """Exact single-linkage merge history: `(value, parts)` for every
-    component that forms, in ascending value, with `parts` the sorted
-    point-index tuples of the components it joins. A tie group is linked
-    whole before anything is recorded, so A-B and B-C at one value give one
-    merge of A, B and C. Distinct values are sorted once (floor(v * 2**64)
-    decides in int arithmetic, the Fraction breaks ties) and the pairs are
-    bucketed by rank.
-    """
+def _merge_ranks(dm: DistanceMatrix) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """`single_linkage` with each merge value given by its rank in `dm.values`."""
     n = dm.n
-    entries = dm.entries
-    values = sorted(
-        {entries[i][j] for i in range(n) for j in range(i + 1, n)},
-        key=lambda v: ((v.numerator << 64) // v.denominator, v),
-    )
-    rank = {v: r for r, v in enumerate(values)}
-    buckets: list[list[tuple[int, int]]] = [[] for _ in values]
-    for i in range(n):
-        for j in range(i + 1, n):
-            buckets[rank[entries[i][j]]].append((i, j))
+    buckets: list[list[int]] = [[] for _ in dm.values]  # pair codes i*n + j by rank
+    for code, r in zip([i * n + j for i in range(n) for j in range(i + 1, n)], dm.ranks):
+        buckets[r].append(code)
     parent = list(range(n))
     members = {i: (i,) for i in range(n)}  # root -> its component's points
 
@@ -195,11 +257,13 @@ def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, 
         return x
 
     merges = []
-    for value, bucket in zip(values, buckets):
+    for r, bucket in enumerate(buckets):
+        if len(members) == 1:
+            break  # one component: no later pair joins anything
         # roots only ever link to roots, so every root met here was one before
         touched: set[int] = set()
-        for i, j in bucket:
-            a, b = find(i), find(j)
+        for code in bucket:
+            a, b = find(code // n), find(code % n)
             if a != b:
                 parent[a] = b
                 touched.update((a, b))
@@ -207,9 +271,21 @@ def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, 
         for c in touched:
             joined.setdefault(find(c), []).append(members.pop(c))
         for root, parts in joined.items():
-            merges.append((value, tuple(sorted(parts))))
+            merges.append((r, tuple(sorted(parts))))
             members[root] = tuple(sorted(x for part in parts for x in part))
     return merges
+
+
+def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, ...], ...]]]:
+    """Exact single-linkage merge history: `(value, parts)` for every
+    component that forms, in ascending value, with `parts` the sorted
+    point-index tuples of the components it joins. A tie group is linked
+    whole before anything is recorded, so A-B and B-C at one value give one
+    merge of A, B and C. The pairs are bucketed by their stored rank (a
+    counting sort), so no value is compared again.
+    """
+    values = dm.values
+    return [(values[r], parts) for r, parts in _merge_ranks(dm)]
 
 
 def chain_distance(dm: DistanceMatrix) -> DistanceMatrix:
@@ -217,16 +293,22 @@ def chain_distance(dm: DistanceMatrix) -> DistanceMatrix:
 
     d(a,b) is the minimum over paths a -> b of the maximum edge weight along
     the path. It is read off the single-linkage pass: when components join
-    at value w, every cross pair gets w.
+    at value w, every cross pair gets w. The merge values are ascending, so
+    their ranks are the merge order's.
     """
     n = dm.n
-    result = [[Fraction(0)] * n for _ in range(n)]
-    for value, parts in single_linkage(dm):
+    # pair a < b sits at offset[a] + b of the upper triangle
+    offset = [a * (2 * n - a - 1) // 2 - a - 1 for a in range(n)]
+    ranks = [0] * (n * (n - 1) // 2)
+    used: list[int] = []  # the input ranks that occur as merge values
+    for r, parts in _merge_ranks(dm):
+        if not used or used[-1] != r:
+            used.append(r)
+        rank = len(used) - 1
         for k, part in enumerate(parts):
             for other in parts[k + 1 :]:
                 for a in part:
-                    row = result[a]
                     for b in other:
-                        row[b] = value
-                        result[b][a] = value
-    return DistanceMatrix(dm.labels, result)
+                        ranks[offset[a] + b if a < b else offset[b] + a] = rank
+    values = tuple(dm.values[r] for r in used)
+    return DistanceMatrix._from_ranks(dm.labels, values, tuple(ranks))

@@ -12,6 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import add
 from pathlib import Path
 
 from .dendrogram import Dendrogram, build_dendrogram
@@ -41,6 +44,17 @@ class MarkerSet:
     def labels(self) -> tuple[str, ...]:
         return self.markers[0][1].labels
 
+    @cached_property
+    def _cleared(self) -> tuple[tuple[int, list[int], tuple[int, ...]], ...]:
+        """Per marker: the lcm L of its values' denominators, its values
+        times L as ints, and its pair ranks."""
+        out = []
+        for _, dm in self.markers:
+            scale = lcm(*(x.denominator for x in dm.values))
+            ints = [x.numerator * (scale // x.denominator) for x in dm.values]
+            out.append((scale, ints, dm.ranks))
+        return tuple(out)
+
     def __len__(self) -> int:
         return len(self.markers)
 
@@ -57,18 +71,34 @@ def weight_vector(values) -> tuple[Fraction, ...]:
 
 
 def combine(markers: MarkerSet, weights) -> DistanceMatrix:
-    """Entrywise weighted sum of the (symmetric) marker matrices: the upper
-    triangle is summed, then mirrored."""
+    """Entrywise weighted sum of the (symmetric) marker matrices.
+
+    The sum runs on ints: marker j's values are x/L_j over the lcm L_j of
+    their denominators, and a weight a/b becomes the integer factor
+    D*a/(b*L_j) over one common denominator D, so each pair's key is a sum
+    of table lookups by the pair's rank. Keys order as their values do, and
+    a Fraction is built only for each distinct key. The sum of validated
+    markers with non-negative weights is symmetric, non-negative and zero
+    on the diagonal, so it is not validated again.
+    """
     w = weight_vector(weights)
     if len(w) != len(markers):
         raise StructuralError(f"{len(w)} weights for {len(markers)} markers")
-    terms = [(wj, dm.entries) for wj, (_, dm) in zip(w, markers.markers) if wj]
-    n = len(markers.labels)
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            total[i][j] = total[j][i] = sum(wj * e[i][j] for wj, e in terms)
-    return DistanceMatrix(markers.labels, total)
+    terms = [(wj, *cleared) for wj, cleared in zip(w, markers._cleared) if wj]
+    den = lcm(*(wj.denominator * scale for wj, scale, _, _ in terms))
+    keys = None
+    for wj, scale, ints, ranks in terms:
+        factor = den // (wj.denominator * scale) * wj.numerator
+        table = [factor * x for x in ints]
+        column = map(table.__getitem__, ranks)
+        keys = list(column) if keys is None else list(map(add, keys, column))
+    distinct = sorted(set(keys))
+    rank = {k: r for r, k in enumerate(distinct)}
+    return DistanceMatrix._from_ranks(
+        markers.labels,
+        tuple(Fraction(k, den) for k in distinct),
+        tuple(map(rank.__getitem__, keys)),
+    )
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,17 @@ def threshold_components(entries, eps: Fraction) -> list[tuple[int, ...]]:
     return sorted(blocks)
 
 
+def combine_by_definition(markers, weights) -> list[list[Fraction]]:
+    """Weighted sum of the markers' Fraction tables, cell by cell."""
+    tables = [dm.entries for _, dm in markers.markers]
+    n = len(tables[0])
+    return [
+        [sum((Fraction(w) * t[i][j] for w, t in zip(weights, tables)), Fraction(0))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def strong_triangle_violations(entries) -> list[tuple[int, int, int]]:
     """Every triple (i, j, k), i < j, with d(i,j) > max(d(i,k), d(k,j))."""
     n = len(entries)

@@ -397,6 +397,10 @@ GOLDEN = {
         "e08eaa6cacc3a7ad272e0ad80104bd445a5e6a125efeaa9e7e763ec3a9165cb1",
     ("phylo-sweep", "markers/manifest.json", "markers/sweep_simplex.json"):
         "33afa70be5f1cd4b9e85d0a81b48ad2bd49458d06c04a99178fcba09d117c3d7",
+    # mixed literal spellings and denominators, captured before matrices
+    # kept integer ranks and combine summed on ints
+    ("phylo-sweep", "markers_mixed/manifest.json", "markers_mixed/sweep_simplex.json"):
+        "9928baf2a4371778c607ccf34fd141f0723acde79b264802a383eeb23f4580a7",
     ("dimension", "trio_a.csv", "trio_b.csv"):
         "b3aa5e4a56f6ecbed59d36dc106174117a9b34b7d398211101b547f6f5dce7e5",
     ("dimension", "incompat_1.csv", "incompat_2.csv"):

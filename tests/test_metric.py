@@ -76,6 +76,70 @@ class TestConstruction:
         with pytest.raises(StructuralError, match="float"):
             DistanceMatrix(["A", "B"], [[0, 0.5], [0.5, 0]])
 
+    # Exact messages for matrices with several faults, captured before the
+    # matrix kept ranks: the scan runs row by row in canonical label order,
+    # the diagonal cell first, then each pair to the right, symmetry before
+    # sign; unparsable cells are reported first, in input order.
+    @pytest.mark.parametrize(
+        "labels, rows, message",
+        [
+            (["C", "A", "B"], [["0", "1", "2"], ["1", "0", "3"], ["2", "4", "5"]],
+             "asymmetry at (A,B): 3 != 4"),
+            (["B", "A", "C"], [["0", "1/2", "1"], ["0.5", "0", "2"], ["1", "3", "0"]],
+             "asymmetry at (A,C): 2 != 3"),
+            (["A", "B", "C"], [["0", "-1", "1"], ["-2", "0", "2"], ["1", "2", "0"]],
+             "asymmetry at (A,B): -1 != -2"),
+            (["A", "B", "C"], [["0", "1", "-1/3"], ["1", "0", "2"], ["-1/3", "3", "7"]],
+             "negative entry at (A,C): -1/3"),
+            (["A", "B", "C"], [["0", "-1", "1"], ["-1", "2", "1"], ["1", "1", "0"]],
+             "negative entry at (A,B): -1"),
+            (["d", "c", "b", "a"],
+             [["0", "1", "1", "1"], ["1", "0", "1", "1"], ["1", "1", "0", "2"],
+              ["1", "1", "1", "-0.5"]],
+             "nonzero diagonal at (a,a): -1/2"),
+            (["A", "B"], [[0, "0.25"], ["1/3", 0]], "asymmetry at (A,B): 1/4 != 1/3"),
+            (["A", "B", "C"], [["0", "1", "2"], ["3", "0", "2"], ["2", "2", "x"]],
+             "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+            (["B", "A"], [["0", "1/0"], ["y", "0"]], "bad rational literal '1/0': Fraction(1, 0)"),
+            (["A", "B"], [["0", 0.5], ["w", "0"]],
+             "refusing float value 0.5; pass a string, int or Fraction"),
+        ],
+        ids=[
+            "asymmetry-before-diagonal", "asymmetry-in-row-a", "asymmetry-before-sign",
+            "sign-before-asymmetry-and-diagonal", "sign-before-diagonal",
+            "diagonal-after-clean-rows", "mixed-types", "literal-before-asymmetry",
+            "first-bad-literal", "float-before-literal",
+        ],
+    )
+    def test_first_fault_message(self, labels, rows, message):
+        with pytest.raises(StructuralError) as info:
+            DistanceMatrix(labels, rows)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("earlier", [1, "1", 0, "0"])
+    @pytest.mark.parametrize("bad", [True, False, None])
+    def test_bool_and_none_refused_after_equal_cells(self, earlier, bad):
+        """The literal memo must not let True pass as a repeat of 1."""
+        with pytest.raises(StructuralError) as info:
+            DistanceMatrix(["A", "B"], [[0, earlier], [bad, 0]])
+        kind = type(bad).__name__
+        assert str(info.value) == f"refusing {kind} value {bad!r}; pass a string, int or Fraction"
+
+    def test_ranks_over_sorted_distinct_values(self):
+        dm = DistanceMatrix(
+            ["c", "a", "b"],
+            [["0", "1/4", "07/10"], ["0.25", "0.0", "1e1"], ["0.7", "10", "0/3"]],
+        )
+        assert dm.labels == ("a", "b", "c")
+        assert dm.values == (F(1, 4), F(7, 10), F(10))
+        assert dm.ranks == (2, 0, 1)  # (a,b), (a,c), (b,c)
+        assert dm.entries == (
+            (0, F(10), F(1, 4)), (F(10), 0, F(7, 10)), (F(1, 4), F(7, 10), 0)
+        )
+        same = DistanceMatrix(["a", "b", "c"], dm.entries)
+        assert same == dm and hash(same) == hash(dm)
+        assert DistanceMatrix(["x"], [["0"]]).values == ()
+
 
 class TestCsv:
     def test_round_trip(self, trio_a, data_dir):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from clusternets import (
     sweep,
     to_json,
 )
+from clusternets.metric import single_linkage
 from clusternets.phylo import load_marker_bundle, load_sweep_spec, weight_id
+
+import oracles
 
 F = Fraction
 
@@ -74,6 +78,81 @@ class TestCombine:
     def test_negative_weight_rejected(self, markers):
         with pytest.raises(StructuralError, match="negative"):
             combine(markers, (1, -1))
+
+
+# Spellings of each value, so that one value is written several ways within
+# a marker and across markers.
+SPELLINGS = {
+    F(0): ("0", "0.0"),
+    F(1, 4): ("0.25", "1/4", "2.5e-1"),
+    F(3, 7): ("3/7", "6/14"),
+    F(7, 10): ("07/10", "0.7"),
+    F(10): ("1e1", "10"),
+    F(12): ("12", "1.2e1"),
+}
+WEIGHTS = (0, 1, F(1, 3), F(2, 3), F(2, 7), F(9, 7), F(3, 10), "0.7", "5/3")
+
+
+def spelled_marker(rng, labels, palette):
+    n = len(labels)
+    value = {(i, j): rng.choice(palette) for i in range(n) for j in range(i + 1, n)}
+    rows = [
+        [rng.choice(SPELLINGS[value[min(i, j), max(i, j)]]) if i != j else "0" for j in range(n)]
+        for i in range(n)
+    ]
+    return DistanceMatrix(labels, rows)
+
+
+def components_at(merges, n, eps):
+    """Replay a single-linkage history up to threshold eps."""
+    blocks = {(i,) for i in range(n)}
+    for value, parts in merges:
+        if value > eps:
+            break
+        blocks.difference_update(parts)
+        blocks.add(tuple(sorted(x for part in parts for x in part)))
+    return sorted(blocks)
+
+
+class TestCombineOracle:
+    def test_integer_combine_matches_fraction_sum(self):
+        rng = random.Random(17)
+        names = [f"t{k:02d}" for k in range(12)]
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            labels = rng.sample(names, n)
+            palette = rng.sample(sorted(SPELLINGS), rng.randint(1, 4))
+            ms = MarkerSet(tuple(
+                (f"m{k}", spelled_marker(rng, labels, palette))
+                for k in range(rng.randint(1, 4))
+            ))
+            for _ in range(4):
+                w = [rng.choice(WEIGHTS) for _ in ms.markers]
+                if not any(F(x) for x in w):
+                    w[rng.randrange(len(w))] = F(3, 10)
+                got = combine(ms, w)
+                want = oracles.combine_by_definition(ms, w)
+                assert [list(row) for row in got.entries] == want
+                assert got == DistanceMatrix(got.labels, want)
+                merges = single_linkage(got)
+                for eps in sorted({F(0), *got.values}):
+                    assert components_at(merges, n, eps) == oracles.threshold_components(want, eps)
+
+    def test_fraction_built_per_distinct_value(self, data_dir, monkeypatch):
+        ms = load_marker_bundle(data_dir / "markers_mixed" / "manifest.json")
+        weights = (F(1, 3), F(2, 7), F(3, 10))
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        got = combine(ms, weights)
+        monkeypatch.undo()
+        assert len(built) <= len(got.values)
+        assert [list(row) for row in got.entries] == oracles.combine_by_definition(ms, weights)
 
 
 class TestGrid:
