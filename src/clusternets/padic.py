@@ -16,6 +16,10 @@ canonicalised on integers modulo a power of p (Hermite normal form modulo
 D, Cohen, GTM 138, 2.4); Fractions appear only in `describe` and in results.
 The class of a lattice modulo p-power dilations is represented by the
 primitive scaling: integral but not contained in p.Z_p^d.
+
+A chain becomes a norm on integers too: the adapted basis is read off the
+residue spans L_j/pL, kept as sets of int tuples, and `mat_inv` inverts the
+frame fraction-free (Bareiss), building one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -64,25 +68,43 @@ def pval(x: Fraction | int, p: int) -> int:
 # exact linear algebra over Q
 
 def mat_inv(m: Matrix) -> Matrix:
+    """Inverse over Q, fraction-free. With each row of m cleared to ints over
+    its lcm denominator (m = D^-1 M), Gauss-Jordan elimination with exact
+    integer divisions (Bareiss, Math. Comp. 22, 1968) turns [M | I] into
+    [e.I | e.M^-1], e = ±det M (the sign of the row swaps), so
+    m^-1 = M^-1 D is one Fraction per entry."""
     d = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-           for i, row in enumerate(m)]
+    aug, dens = [], []
+    for i, row in enumerate(m):
+        ints, den = _over_lcm(row)
+        aug.append(ints + [int(i == j) for j in range(d)])
+        dens.append(den)
+    prev = 1
     for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, d) if aug[r][col]), None)
         if piv is None:
             raise StructuralError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
+        top = aug[col]
+        pk = top[col]
         for r in range(d):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
+                aug[r] = [(pk * a - f * b) // prev for a, b in zip(aug[r], top)]
+        prev = pk
+    return tuple(tuple(Fraction(row[d + j] * dens[j], prev) for j in range(d)) for row in aug)
 
 
 def identity_matrix(d: int) -> Matrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+
+
+def _over_lcm(vec: Sequence) -> tuple[list[int], int]:
+    """vec as (V, D): V an integer vector, D the lcm of its denominators, vec = V / D.
+    Ints and Fractions are read as they are; anything else goes through Fraction."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +115,14 @@ def _cleared(p: int, vec: Sequence) -> tuple[list[int], int]:
 
     Scaling by the unit u keeps the Z_p-span, so V / p^a stands for vec.
     """
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], pval(den, p)
+    ints, den = _over_lcm(vec)
+    return ints, pval(den, p)
 
 
 def _strip(p: int, cols: Sequence[Sequence[int]], scale: int) -> tuple[Sequence, int]:
     """Divide out the p-power common to every entry, down to scale 0."""
+    if not scale:
+        return cols, 0
     g, k = gcd(*(x for c in cols for x in c)), 0
     while k < scale and g % p ** (k + 1) == 0:
         k += 1
@@ -235,9 +258,11 @@ class Lattice:
         return sum(self.exponents)
 
     def describe(self) -> dict:
+        s = self.p**self.scale
         return {
             "diag_exponents": list(self.exponents),
-            "basis_columns": [[str(x) for x in col] for col in self.basis],
+            "basis_columns": [[str(x) if s == 1 else str(Fraction(x, s)) for x in col]
+                              for col in self.cols],
         }
 
 
@@ -249,12 +274,7 @@ class LatticeClass:
 
     @classmethod
     def of(cls, lattice: Lattice) -> "LatticeClass":
-        shift = min(
-            pval(x, lattice.p)
-            for col in lattice.basis
-            for x in col
-            if x != 0
-        )
+        shift = min(pval(x, lattice.p) for col in lattice.cols for x in col if x) - lattice.scale
         return cls(lattice.dilate(-shift))
 
 
@@ -291,24 +311,6 @@ class Subspace:
     p: int
     ambient: int
     rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_generators(cls, p: int, ambient: int, gens: Iterable[Sequence[int]]) -> "Subspace":
-        mat = [[int(x) % p for x in g] for g in gens]
-        rank = 0
-        for col in range(ambient):
-            sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-            if sel is None:
-                continue
-            mat[rank], mat[sel] = mat[sel], mat[rank]
-            inv = pow(mat[rank][col], -1, p)
-            mat[rank] = [x * inv % p for x in mat[rank]]
-            for i in range(len(mat)):
-                if i != rank and mat[i][col]:
-                    f = mat[i][col]
-                    mat[i] = [(mat[i][t] - f * mat[rank][t]) % p for t in range(ambient)]
-            rank += 1
-        return cls(p, ambient, tuple(tuple(r) for r in mat[:rank]))
 
     @property
     def dim(self) -> int:
@@ -463,17 +465,14 @@ class NormSpec:
         d = len(self.q)
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise StructuralError("frame matrix shape does not match weights")
-        entries = [[Fraction(x) for x in row] for row in self.matrix]
-        den = lcm(*(x.denominator for row in entries for x in row))
-        rows = tuple(tuple(int(x * den) for x in row) for row in entries)
+        flat, den = _over_lcm([x for row in self.matrix for x in row])
+        rows = tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d))
         object.__setattr__(self, "rows", rows)
         given = self.inverse is not None
         if not given:
             object.__setattr__(self, "inverse", mat_inv(self.matrix))  # raises if singular
-        cols = []  # column j of the inverse as V_j / E_j, E_j the lcm of its denominators
-        for col in zip(*self.inverse):
-            e = lcm(*(x.denominator for x in col))
-            cols.append((tuple(x.numerator * (e // x.denominator) for x in col), e))
+        # column j of the inverse as V_j / E_j, E_j the lcm of its denominators
+        cols = [(tuple(v), e) for v, e in map(_over_lcm, zip(*self.inverse))]
         # (A.D)(V_j) = D.E_j.e_j, on the integer copies
         if given and (
             len(self.inverse) != d
@@ -593,6 +592,8 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
 
     The choice is canonical: in the coordinates of the top lattice, f_j
     lifts the lexicographically smallest vector of (L_j/pL) \\ (L_(j-1)/pL).
+    Each residue span L_j/pL is a set of int tuples over {0..p-1}, grown
+    from L_(j-1)/pL by the residues of L_j's columns.
     The direct-sum decomposition
         L_j = Z_p f_1 + ... + Z_p f_j + p Z_p f_(j+1) + ... + p Z_p f_d
     is re-verified by exact membership before returning.
@@ -604,21 +605,18 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
         )
     top = chain.top
     p, d = top.p, top.dimension
-    spaces = []
-    for lat in chain.lattices:
-        gens = [top._solve(col, lat.scale) for col in lat.cols]
-        if None in gens:
-            raise StructuralError("chain lattice not contained in its top")
-        spaces.append(Subspace.from_generators(p, d, gens))
-    coords_fs: list[tuple[int, ...]] = []
-    for j in range(1, d + 1):
-        smaller, larger = spaces[j - 1], spaces[j]
-        pick = next(
-            w
-            for w in product(range(p), repeat=d)
-            if larger.contains_vector(w) and not smaller.contains_vector(w)
-        )
-        coords_fs.append(pick)
+    span, coords_fs = {(0,) * d}, []  # the residue span of L_0 = pL
+    for lat in chain.lattices[1:]:
+        previous = span
+        for col in lat.cols:
+            gen = top._solve(col, lat.scale)
+            if gen is None:
+                raise StructuralError("chain lattice not contained in its top")
+            gen = tuple(x % p for x in gen)
+            if gen not in span:
+                span = {tuple((a + c * b) % p for a, b in zip(w, gen)) for w in span
+                        for c in range(p)}
+        coords_fs.append(min(span - previous))
     fs = [top._combine(w) for w in coords_fs]
     for j in range(d + 1):
         vectors = [(f if i < j else [x * p for x in f], top.scale) for i, f in enumerate(fs)]

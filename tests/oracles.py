@@ -334,3 +334,45 @@ def member_by_definition(p: int, basis, vec) -> bool:
         for i in range(j, len(x)):
             x[i] -= c * col[i]
     return True
+
+
+def inverse_by_definition(m):
+    """Inverse over Q by Gauss-Jordan elimination in Fraction arithmetic;
+    raises StructuralError("singular matrix") when no pivot is left."""
+    d = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+           for i, row in enumerate(m)]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if piv is None:
+            raise StructuralError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [x / scale for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[d:]) for row in aug)
+
+
+def adapted_basis_by_definition(chain):
+    """For each step L_(j-1) < L_j of a maximal chain, the first w of F_p^d
+    in lexicographic order whose lift sum_i w_i b_i (b_i the top's basis
+    columns) lies in L_j and not in L_(j-1), by Fraction membership.
+    Returns the lifts as Fraction vectors."""
+    bases = [lat.basis for lat in chain.lattices]
+    p, top = chain.lattices[-1].p, bases[-1]
+    d = len(top)
+    lifts = [
+        tuple(sum((c * col[i] for c, col in zip(w, top)), Fraction(0)) for i in range(d))
+        for w in product(range(p), repeat=d)
+    ]
+    return tuple(
+        next(
+            vec
+            for vec in lifts
+            if member_by_definition(p, larger, vec) and not member_by_definition(p, smaller, vec)
+        )
+        for smaller, larger in zip(bases, bases[1:])
+    )

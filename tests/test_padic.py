@@ -364,6 +364,25 @@ class TestHermiteAgainstDefinition:
                 previous = lat
         assert min(outcomes.values()) > 0, outcomes
 
+    def test_class_shift_matches_fraction_definition(self):
+        rng = random.Random(53)
+        checked = 0
+        for p in (2, 3, 5):
+            for _ in range(30):
+                d = rng.randint(1, 4)
+                try:
+                    lat = Lattice.from_basis(p, hermite_input(rng, p, d))
+                except StructuralError:
+                    continue
+                for k in (-3, -1, 0, 1, 2):
+                    scaled = lat.dilate(k)
+                    shift = min(pval(x, p) for col in scaled.basis for x in col if x != 0)
+                    rep = LatticeClass.of(scaled).representative
+                    assert rep == scaled.dilate(-shift) == LatticeClass.of(lat).representative
+                    assert min(pval(x, p) for col in rep.basis for x in col if x != 0) == 0
+                    checked += 1
+        assert checked > 300
+
 
 class TestCounting:
     @pytest.mark.parametrize("p,d,strict", [(2, 2, 3), (3, 2, 4), (2, 3, 14)])
@@ -540,6 +559,86 @@ class TestBasisFromChain:
         std = Lattice.standard(2, 2)
         with pytest.raises(ValueError, match="not maximal"):
             basis_from_chain(LatticeChain((std.dilate(1), std)))
+
+
+class TestAdaptedBasisAgainstDefinition:
+    @pytest.mark.parametrize("p,d", [(p, d) for p, d, _ in CASES] + [(2, 4)])
+    def test_every_chain_through_the_standard_lattice(self, p, d):
+        chains = maximal_chains(Lattice.standard(p, d))
+        assert len(chains) == flag_count(p, d)
+        for chain in chains:
+            assert basis_from_chain(chain) == oracles.adapted_basis_by_definition(chain)
+
+    @pytest.mark.parametrize(
+        "p,vectors,scale",
+        [
+            (3, [(1, 2, 5), (0, 3, 1), (0, 0, 9)], 0),
+            (2, [(F(1, 2), F(1, 4), 0), (0, 1, F(3, 2)), (0, 0, 2)], 2),
+        ],
+        ids=["non_diagonal_top", "top_with_scale"],
+    )
+    def test_chains_through_other_tops(self, p, vectors, scale):
+        top = Lattice.from_basis(p, vectors)
+        assert top.scale == scale and any(x for col in top.cols for x in col[1:] if x)
+        chains = maximal_chains(top)
+        assert len(chains) == flag_count(p, 3)
+        for chain in chains:
+            assert basis_from_chain(chain) == oracles.adapted_basis_by_definition(chain)
+
+
+def random_square(rng, d, kind):
+    """A d x d matrix of one kind: "int" entries, "rational" entries,
+    "zero_lead" (every leading entry but the last row's is zero, so the
+    first pivots come from lower rows), or "singular" (one row a rational
+    combination of the others, or a zero column)."""
+    if kind == "int":
+        return [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+    m = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(d)] for _ in range(d)]
+    if kind == "zero_lead":
+        for t in range(d - 1):
+            m[t][0] = 0
+            if t + 1 < d - 1:
+                m[t][1] = 0
+        m[d - 1][0] = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+    elif kind == "singular":
+        if d == 1 or rng.randrange(3) == 0:
+            col = rng.randrange(d)
+            for row in m:
+                row[col] = 0
+        else:
+            i = rng.randrange(d)
+            j, k = (rng.choice([t for t in range(d) if t != i]) for _ in range(2))
+            a, b = F(rng.randint(-4, 4), rng.randint(1, 5)), F(rng.randint(-4, 4), 3)
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return m
+
+
+class TestMatInvAgainstDefinition:
+    def test_matches_gauss_jordan_in_fractions(self):
+        rng = random.Random(41)
+        inverted = {"int": 0, "rational": 0, "zero_lead": 0}
+        singular = 0
+        for _ in range(500):
+            d = rng.randint(1, 5)
+            kind = rng.choice(["int", "rational", "zero_lead", "singular"])
+            m = random_square(rng, d, kind)
+            try:
+                want = oracles.inverse_by_definition(m)
+            except StructuralError:
+                with pytest.raises(StructuralError, match="singular matrix"):
+                    mat_inv(m)
+                singular += 1
+                continue
+            assert kind != "singular", m
+            got = mat_inv(m)
+            assert got == want, m
+            assert all(type(x) is F for row in got for x in row)
+            inverted[kind] += 1
+        assert min(inverted.values()) > 50 and singular > 100, (inverted, singular)
+
+    def test_string_entries(self):
+        m = (("1/2", "3"), (F(0), 4))
+        assert mat_inv(m) == oracles.inverse_by_definition(m) == ((F(2), F(-3, 2)), (F(0), F(1, 4)))
 
 
 def _det(m):
