@@ -209,12 +209,6 @@ class Lattice:
         return cls(p, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 0, (0,) * d)
 
     @property
-    def basis(self) -> Matrix:
-        """The basis vectors as Fractions."""
-        s = self.p**self.scale
-        return tuple(tuple(Fraction(x, s) for x in col) for col in self.cols)
-
-    @property
     def dimension(self) -> int:
         return len(self.cols)
 

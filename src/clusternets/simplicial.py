@@ -2,17 +2,18 @@
 
 For a subfamily r of metrics, one pass visits each r-ball I that has a
 minimal common superball J and yields (I, J, the chain of balls from I up
-to J in each metric of r). Both readings come from that pass: every subset
-(size >= 2) of a chain is a simplex, and the r-dimension of (I, J) is the
-longest chain's length minus one. Simplices never mix incomparable balls of
-different metrics; chains from different metrics sharing the same vertex
-set are identified.
+to J in each metric of r). The r-dimension of (I, J) is the longest chain's
+length minus one. The complex is kept as its distinct chains; every subset
+(size >= 2) of a chain is a simplex, so no simplex mixes incomparable balls
+of different metrics. Facets and the DOT skeleton read the chains; only the
+JSON payload derives the faces.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .dendrogram import mask_members
@@ -37,26 +38,30 @@ class Simplex:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    network: ClusterNetwork
-    subfamily: frozenset[str]
-    simplices: tuple[Simplex, ...]
+    """The distinct chains of the pass, in pass order."""
 
-    def vertex_sets(self) -> set[tuple[int, ...]]:
-        return {s.vertex_ids for s in self.simplices}
+    network: ClusterNetwork
+    chains: tuple[Simplex, ...]
+
+    @cached_property
+    def simplices(self) -> tuple[Simplex, ...]:
+        """Every face by (size, vertex ids), named by the first chain holding it."""
+        found: dict[tuple[int, ...], Simplex] = {}
+        for c in self.chains:
+            for size in range(2, len(c.vertex_ids) + 1):
+                for subset in combinations(c.vertex_ids, size):
+                    if subset not in found:
+                        found[subset] = Simplex(subset, c.metric, c.anchor)
+        return tuple(sorted(found.values(), key=lambda s: (len(s.vertex_ids), s.vertex_ids)))
 
     def maximal_simplices(self) -> list[Simplex]:
-        sets = self.vertex_sets()
-        out = []
-        for s in self.simplices:
-            mine = set(s.vertex_ids)
-            if not any(mine < set(other) for other in sets):
-                out.append(s)
-        return out
+        """The chains strictly inside no other chain, in pass order."""
+        sets = [frozenset(c.vertex_ids) for c in self.chains]
+        return [c for c, mine in zip(self.chains, sets) if not any(mine < other for other in sets)]
 
 
 @dataclass(frozen=True)
 class DimensionReport:
-    subfamily: frozenset[str]
     per_pair: tuple[tuple[tuple[int, int], int], ...]
     overall: int
 
@@ -136,18 +141,12 @@ def _pair_chains(
 
 
 def build_complex(net: ClusterNetwork, r: frozenset[str] | set[str]) -> SimplicialComplex:
-    """Subsets (size >= 2) of every pair's chains; the first chain to give a
-    vertex set names its metric and anchor."""
-    r = frozenset(r)
+    """Each distinct chain once, in pass order, named by its first (metric, anchor)."""
     found: dict[tuple[int, ...], Simplex] = {}
-    for anchor, chains in _pair_chains(net, r):
+    for anchor, chains in _pair_chains(net, frozenset(r)):
         for mid, ids in chains:
-            for size in range(2, len(ids) + 1):
-                for subset in combinations(ids, size):
-                    if subset not in found:
-                        found[subset] = Simplex(subset, mid, anchor)
-    simplices = tuple(sorted(found.values(), key=lambda s: (len(s.vertex_ids), s.vertex_ids)))
-    return SimplicialComplex(net, r, simplices)
+            found.setdefault(tuple(ids), Simplex(tuple(ids), mid, anchor))
+    return SimplicialComplex(net, tuple(found.values()))
 
 
 def network_dimension(net: ClusterNetwork, r: frozenset[str] | set[str]) -> DimensionReport:
@@ -158,7 +157,7 @@ def network_dimension(net: ClusterNetwork, r: frozenset[str] | set[str]) -> Dime
         for anchor, chains in _pair_chains(net, r)
     )
     overall = max((dim for _, dim in per_pair), default=0)
-    return DimensionReport(r, per_pair, overall)
+    return DimensionReport(per_pair, overall)
 
 
 def dimension_json_dict(
@@ -196,16 +195,17 @@ def complex_json_dict(
 
 
 def skeleton_dot(cx: SimplicialComplex) -> str:
-    """Undirected DOT rendering of the complex's 1-skeleton."""
+    """DOT 1-skeleton: each chain's pairs, tooltip from the first chain holding it."""
     net = cx.network
-    used = sorted({i for s in cx.simplices for i in s.vertex_ids})
+    edges: dict[tuple[int, int], str] = {}
+    for c in cx.chains:
+        for pair in combinations(c.vertex_ids, 2):
+            edges.setdefault(pair, c.metric)
     lines = ["graph skeleton {"]
-    for i in used:
+    for i in sorted({i for c in cx.chains for i in c.vertex_ids}):
         label = "".join(net.member_names(net.vertices[i]))
         lines.append(f'  n{i} [label="{label}"];')
-    for s in cx.simplices:
-        if len(s.vertex_ids) == 2:
-            a, b = s.vertex_ids
-            lines.append(f'  n{a} -- n{b} [tooltip="{s.metric}"];')
+    for (a, b), metric in sorted(edges.items()):
+        lines.append(f'  n{a} -- n{b} [tooltip="{metric}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

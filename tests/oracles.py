@@ -356,12 +356,18 @@ def inverse_by_definition(m):
     return tuple(tuple(row[d:]) for row in aug)
 
 
+def lattice_basis(lat):
+    """A lattice's Hermite basis vectors `cols[j] / p^scale` as Fractions."""
+    s = lat.p**lat.scale
+    return tuple(tuple(Fraction(x, s) for x in col) for col in lat.cols)
+
+
 def adapted_basis_by_definition(chain):
     """For each step L_(j-1) < L_j of a maximal chain, the first w of F_p^d
     in lexicographic order whose lift sum_i w_i b_i (b_i the top's basis
     columns) lies in L_j and not in L_(j-1), by Fraction membership.
     Returns the lifts as Fraction vectors."""
-    bases = [lat.basis for lat in chain.lattices]
+    bases = [lattice_basis(lat) for lat in chain.lattices]
     p, top = chain.lattices[-1].p, bases[-1]
     d = len(top)
     lifts = [

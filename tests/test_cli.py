@@ -415,6 +415,16 @@ GOLDEN = {
         "cdecfbc396502923d8dc12263a737b3f1e52cfcfe35379fad8fcce1026fbc93f",
     ("complex", "trio_a.csv", "trio_b.csv", "--r", "trio_a"):
         "99f2a2435d922ee51a8bac8f18526200d7e7f85a731eb9e2a0800d717b642bf2",
+    # DOT skeletons captured while the complex still listed every face.
+    # random32/m1.csv and m2.csv: labels t0000..t0031, each pair i < j gets
+    # Fraction(randint(1, 1000), randint(1, 7)) from random.Random(1000 * seed
+    # + 32) for seeds 1 and 2, written by bench/workloads.write_matrix.
+    ("complex", "quad_a.csv", "quad_b.csv", "--format", "dot"):
+        "e5254c71e0906fc0bebbdd4c8e67174923ccbec93152a4abc3f1970a97f71fa6",
+    ("complex", "incompat_1.csv", "incompat_2.csv", "--format", "dot"):
+        "a94b0d24dddc025c7baefdef59f4b614fb2ff9d96a91cfe24264445533e25231",
+    ("complex", "random32/m1.csv", "random32/m2.csv", "--format", "dot"):
+        "0747288314ffb163b60d908ac153c39607f88119fa70837abe9a3230c264b2f1",
     ("padic-verify", "--p", "2", "--d", "3", "--q", "5/8,3/4,7/8"):
         "c91ba789ab441d4be527cb53abc03d04263f7801cc83f9f17f89b58fdf7dcdd6",
     ("padic-verify", "--p", "3", "--d", "2", "--q", "1/2,2/3"):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,7 @@ from clusternets import (
 )
 from clusternets.dendrogram import mask_of
 from clusternets import simplicial
-from clusternets.simplicial import complex_json_dict
+from clusternets.simplicial import SimplicialComplex, complex_json_dict, skeleton_dot
 
 import oracles
 from conftest import INCOMPAT_1, INCOMPAT_2, vertex_by_members
@@ -149,7 +150,7 @@ class TestBuildComplex:
 
     def test_downward_closure(self, net_c1):
         cx = build_complex(net_c1, {"m1", "m2"})
-        sets = cx.vertex_sets()
+        sets = {s.vertex_ids for s in cx.simplices}
         for s in cx.simplices:
             for size in range(2, len(s.vertex_ids)):
                 for sub in combinations(s.vertex_ids, size):
@@ -172,7 +173,7 @@ class TestBuildComplex:
 
     def test_one_skeleton_contains_every_tree_edge(self, net_c1):
         cx = build_complex(net_c1, {"m1", "m2"})
-        sets = cx.vertex_sets()
+        sets = {s.vertex_ids for s in cx.simplices}
         for e in net_c1.edges:
             assert tuple(sorted((e.child, e.parent))) in sets
 
@@ -245,6 +246,9 @@ class TestJson:
         assert doc["warnings"]["incompatible_intersections"]
 
 
+EDGE = re.compile(r'n(\d+) -- n(\d+) \[tooltip="([^"]*)"\]')
+
+
 def test_complex_and_dimension_match_definition():
     """Random families on <= 7 points vs the member-set oracle, every subfamily."""
     rng = random.Random(1404)
@@ -256,8 +260,10 @@ def test_complex_and_dimension_match_definition():
         net = merge_dendrograms([build_dendrogram(DistanceMatrix(labels, e)) for e in mats], ids)
         balls = {mid: oracles.balls_by_definition(e, labels) for mid, e in zip(ids, mats)}
 
+        members = [frozenset(net.member_names(v)) for v in net.vertices]
+
         def sets(vertex_ids):
-            return tuple(frozenset(net.member_names(net.vertices[i])) for i in vertex_ids)
+            return tuple(members[i] for i in vertex_ids)
 
         for size in range(1, k + 1):
             for r in combinations(ids, size):
@@ -265,5 +271,40 @@ def test_complex_and_dimension_match_definition():
                 cx = build_complex(net, r)
                 got = {sets(s.vertex_ids): (s.metric, sets(s.anchor)) for s in cx.simplices}
                 assert got == simplices
+                spans = {face: frozenset(face) for face in simplices}
+                facets = {
+                    face: simplices[face]
+                    for face, mine in spans.items()
+                    if not any(mine < other for other in spans.values())
+                }
+                maximal = cx.maximal_simplices()
+                assert len(maximal) == len(facets)
+                assert {sets(s.vertex_ids): (s.metric, sets(s.anchor)) for s in maximal} == facets
+                edges = {
+                    sets((int(a), int(b))): metric
+                    for a, b, metric in EDGE.findall(skeleton_dot(cx))
+                }
+                assert edges == {face: m for face, (m, _) in simplices.items() if len(face) == 2}
                 per_pair = network_dimension(net, r).per_pair
                 assert {sets(pair): dim for pair, dim in per_pair} == dims
+
+
+def test_skeleton_and_facets_never_enumerate_faces(data_dir, monkeypatch):
+    """Two random 32-point metrics give chains of up to 21 balls, so millions
+    of faces (listing them took over 30 s and 2.5 GB) but 1,326 skeleton
+    edges; DOT and the facets read the chains, so a face listing that comes
+    back fails here at once."""
+    mats = [
+        DistanceMatrix.from_csv((data_dir / "random32" / name).read_text())
+        for name in ("m1.csv", "m2.csv")
+    ]
+    net = merge_dendrograms([build_dendrogram(m) for m in mats], ["m1", "m2"])
+    cx = build_complex(net, {"m1", "m2"})
+
+    def refuse(self):
+        raise AssertionError("faces were enumerated")
+
+    monkeypatch.setattr(SimplicialComplex, "simplices", property(refuse))
+    assert len(EDGE.findall(skeleton_dot(cx))) == 1326
+    facets = [frozenset(s.vertex_ids) for s in cx.maximal_simplices()]
+    assert facets and not any(a < b for a in facets for b in facets)
