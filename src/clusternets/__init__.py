@@ -28,12 +28,10 @@ from .padic import (
     LatticeChain,
     LatticeClass,
     NormSpec,
-    Subspace,
     ball_network,
     ball_of_radius,
     basis_from_chain,
     check_norm_axioms,
-    complete_flags,
     enumerate_subspaces,
     flag_count,
     intermediary_balls,

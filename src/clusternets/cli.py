@@ -79,11 +79,18 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _write_output(payload: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(payload)
     else:
-        Path(out).write_text(payload)
+        _write_file(out, payload)
 
 
 def _emit_meta(args: argparse.Namespace) -> None:
@@ -93,7 +100,7 @@ def _emit_meta(args: argparse.Namespace) -> None:
             "argv": sys.argv[1:],
             "unix_time": time.time(),
         }
-        Path(args.emit_meta).write_text(json.dumps(meta, indent=2) + "\n")
+        _write_file(args.emit_meta, json.dumps(meta, indent=2) + "\n")
 
 
 def _parse_subfamily(arg: str | None, available: tuple[str, ...]) -> frozenset[str]:

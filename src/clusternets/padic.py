@@ -17,14 +17,16 @@ D, Cohen, GTM 138, 2.4); Fractions appear only in `describe` and in results.
 The class of a lattice modulo p-power dilations is represented by the
 primitive scaling: integral but not contained in p.Z_p^d.
 
-A chain becomes a norm on integers too: the adapted basis is read off the
-residue spans L_j/pL, kept as sets of int tuples, and `mat_inv` inverts the
-frame fraction-free (Bareiss), building one Fraction per entry.
+A subspace of L/pL = F_p^d has one form: the frozenset of its points, int
+tuples over {0..p-1}, grown by `_span`. `maximal_chains` builds the
+complete flags by inclusion of these sets, and the adapted basis of a chain
+is read off the same residue spans L_j/pL. A chain becomes a norm on
+integers too: `mat_inv` inverts the frame fraction-free (Bareiss), building
+one Fraction per entry.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -298,33 +300,9 @@ class LatticeChain:
 # ---------------------------------------------------------------------------
 # subspaces of F_p^d and flags
 
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of F_p^d in reduced row echelon basis."""
-
-    p: int
-    ambient: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        w = [int(x) % self.p for x in vec]
-        for row in self.rows:
-            pivot = next(c for c in range(self.ambient) if row[c])
-            if w[pivot]:
-                f = w[pivot]
-                w = [(w[t] - f * row[t]) % self.p for t in range(self.ambient)]
-        return not any(w)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains_vector(r) for r in self.rows)
-
-
-def enumerate_subspaces(p: int, d: int) -> list[Subspace]:
-    """All subspaces of F_p^d, by dimension then echelon pattern."""
+def enumerate_subspaces(p: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All subspaces of F_p^d as reduced row echelon rows, by dimension then
+    echelon pattern."""
     out = []
     for k in range(d + 1):
         for pivots in combinations(range(d), k):
@@ -340,30 +318,20 @@ def enumerate_subspaces(p: int, d: int) -> list[Subspace]:
                     rows[i][pc] = 1
                 for (i, c), val in zip(free_cells, values):
                     rows[i][c] = val
-                out.append(Subspace(p, d, tuple(tuple(r) for r in rows)))
+                out.append(tuple(tuple(r) for r in rows))
     return out
 
 
-def complete_flags(p: int, d: int) -> list[tuple[Subspace, ...]]:
-    """All chains of proper subspaces with dimensions 1 .. d-1."""
-    return _flags_among(enumerate_subspaces(p, d))
-
-
-def _flags_among(subspaces: list[Subspace]) -> list[tuple[Subspace, ...]]:
-    """Complete flags from the list of every subspace of F_p^d, extended
-    one dimension at a time in the list's order."""
-    by_dim: dict[int, list[Subspace]] = {}
-    for s in subspaces:
-        by_dim.setdefault(s.dim, []).append(s)
-    flags: list[tuple[Subspace, ...]] = [()]
-    for k in range(1, subspaces[0].ambient):
-        flags = [
-            f + (s,)
-            for f in flags
-            for s in by_dim[k]
-            if not f or f[-1].is_subspace_of(s)
-        ]
-    return flags
+def _span(p: int, points: Iterable[tuple[int, ...]], gens: Iterable[Sequence[int]]) -> frozenset:
+    """The subspace of F_p^d spanned by a subspace (its points, int tuples
+    over {0..p-1}) and some vectors, as a point set. Each generator outside
+    the span so far adds all its multiples to every point."""
+    span = frozenset(points)
+    for gen in gens:
+        if gen not in span:
+            span = frozenset(tuple((a + c * b) % p for a, b in zip(w, gen))
+                             for w in span for c in range(p))
+    return span
 
 
 def flag_count(p: int, d: int) -> int:
@@ -376,11 +344,12 @@ def flag_count(p: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # lattice enumeration around one dilation step
 
-def _lift_subspace(lattice: Lattice, sub: Subspace) -> Lattice:
-    """p.L plus the lift of a subspace of L/pL, as a sublattice of L."""
+def _lift_subspace(lattice: Lattice, rows: Sequence[Sequence[int]]) -> Lattice:
+    """p.L plus the lift of a subspace of L/pL (its echelon rows), as a
+    sublattice of L."""
     p, s = lattice.p, lattice.scale
     vectors = [([x * p for x in col], s) for col in lattice.cols]
-    vectors.extend((lattice._combine(row), s) for row in sub.rows)
+    vectors.extend((lattice._combine(row), s) for row in rows)
     return Lattice._hermite(p, vectors)
 
 
@@ -411,14 +380,21 @@ def is_adjacent(first: Lattice | LatticeClass, second: Lattice | LatticeClass) -
 
 
 def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
-    """All maximal chains p.L < L_1 < ... < L; one per complete flag."""
-    subspaces = enumerate_subspaces(lattice.p, lattice.dimension)
-    lifts = {s: _lift_subspace(lattice, s) for s in subspaces}
+    """All maximal chains p.L < L_1 < ... < L; one per complete flag of L/pL.
+
+    Each subspace is lifted once and kept with its point set. Flags grow one
+    dimension at a time in enumeration order, by point-set inclusion.
+    """
+    p, d = lattice.p, lattice.dimension
+    zero = frozenset({(0,) * d})
+    by_dim: list[list] = [[] for _ in range(d + 1)]
+    for rows in enumerate_subspaces(p, d):
+        by_dim[len(rows)].append((_span(p, zero, rows), _lift_subspace(lattice, rows)))
+    flags = [(zero, ())]
+    for level in by_dim[1:d]:
+        flags = [(s, lifts + (lift,)) for prev, lifts in flags for s, lift in level if prev <= s]
     bottom = lattice.dilate(1)
-    return [
-        LatticeChain((bottom, *(lifts[v] for v in flag), lattice))
-        for flag in _flags_among(subspaces)
-    ]
+    return [LatticeChain((bottom, *lifts, lattice)) for _, lifts in flags]
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +562,8 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
 
     The choice is canonical: in the coordinates of the top lattice, f_j
     lifts the lexicographically smallest vector of (L_j/pL) \\ (L_(j-1)/pL).
-    Each residue span L_j/pL is a set of int tuples over {0..p-1}, grown
-    from L_(j-1)/pL by the residues of L_j's columns.
+    Each residue span L_j/pL is a point set, as in `maximal_chains`: `_span`
+    grows L_(j-1)/pL by the residues of L_j's columns.
     The direct-sum decomposition
         L_j = Z_p f_1 + ... + Z_p f_j + p Z_p f_(j+1) + ... + p Z_p f_d
     is re-verified by exact membership before returning.
@@ -599,17 +575,12 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
         )
     top = chain.top
     p, d = top.p, top.dimension
-    span, coords_fs = {(0,) * d}, []  # the residue span of L_0 = pL
+    span, coords_fs = frozenset({(0,) * d}), []  # the residue span of L_0 = pL
     for lat in chain.lattices[1:]:
-        previous = span
-        for col in lat.cols:
-            gen = top._solve(col, lat.scale)
-            if gen is None:
-                raise StructuralError("chain lattice not contained in its top")
-            gen = tuple(x % p for x in gen)
-            if gen not in span:
-                span = {tuple((a + c * b) % p for a, b in zip(w, gen)) for w in span
-                        for c in range(p)}
+        gens = [top._solve(col, lat.scale) for col in lat.cols]
+        if None in gens:
+            raise StructuralError("chain lattice not contained in its top")
+        previous, span = span, _span(p, span, (tuple(x % p for x in g) for g in gens))
         coords_fs.append(min(span - previous))
     fs = [top._combine(w) for w in coords_fs]
     for j in range(d + 1):
@@ -753,33 +724,24 @@ def _point_labels(p: int, window: int, d: int) -> list[tuple[str, tuple[int, ...
     return out
 
 
-def reordering_norms(
-    p: int, q: Sequence, frames: Sequence[Matrix] | None = None
-) -> list[tuple[str, NormSpec]]:
-    """One norm per frame and per distinct ordering of the weights."""
+def reordering_norms(p: int, q: Sequence) -> list[tuple[str, NormSpec]]:
+    """One diagonal norm per distinct ordering of the weights."""
     qs = tuple(as_fraction(x) for x in q)
-    frames = [identity_matrix(len(qs))] if frames is None else list(frames)
-    named = []
-    for fi, frame in enumerate(frames):
-        for perm in sorted(set(permutations(qs))):
-            name = f"A{fi}.q" + "_".join(str(x) for x in perm)
-            named.append((name, NormSpec(p, perm, frame)))
-    return named
+    frame = identity_matrix(len(qs))
+    return [
+        ("A0.q" + "_".join(str(x) for x in perm), NormSpec(p, perm, frame))
+        for perm in sorted(set(permutations(qs)))
+    ]
 
 
-def ball_network(
-    p: int,
-    d: int,
-    q: Sequence,
-    window: int = 2,
-    frames: Sequence[Matrix] | None = None,
-) -> ClusterNetwork:
+def ball_network(p: int, d: int, q: Sequence, window: int = 2) -> ClusterNetwork:
     """Cluster network of the norm family sampled on (Z/p^window)^d.
 
     Each norm induces an ultrametric on the sample points; per-norm
     dendrograms are the ball trees restricted to the window, and their
-    fusion feeds the simplicial/dimension machinery. A warning is emitted
-    when the window is too small to separate two of the norms.
+    fusion feeds the simplicial/dimension machinery. Two distinct weight
+    orderings differ already at the pair (0, e_i), so every window
+    separates the norms.
     """
     require_prime(p)
     qs = tuple(as_fraction(x) for x in q)
@@ -789,18 +751,12 @@ def ball_network(
         raise ValueError("window must be at least 1")
     labeled = _point_labels(p, window, d)
     labels = [name for name, _ in labeled]
-    norms = reordering_norms(p, qs, frames)
+    norms = reordering_norms(p, qs)
     matrices = []
     for name, norm in norms:
         entries = [
             [norm.distance(x, y) for _, y in labeled] for _, x in labeled
         ]
         matrices.append((name, DistanceMatrix(labels, entries)))
-    for (na, ma), (nb, mb) in combinations(matrices, 2):
-        if ma == mb:
-            warnings.warn(
-                f"window {window} does not separate norms {na} and {nb}",
-                stacklevel=2,
-            )
     dendros = [build_dendrogram(m) for _, m in matrices]
     return merge_dendrograms(dendros, [name for name, _ in matrices])

@@ -199,34 +199,45 @@ def check_tree_of_clusters(member_sets: list[frozenset], n: int) -> None:
             )
 
 
+def _closure(p: int, points) -> frozenset:
+    """The least superset of points closed under addition and scaling in F_p^d."""
+    closed = set(points)
+    todo = list(closed)
+    while todo:
+        x = todo.pop()
+        reached = [tuple(a * c % p for a in x) for c in range(2, p)]
+        reached += [tuple((a + b) % p for a, b in zip(x, y)) for y in closed]
+        for z in reached:
+            if z not in closed:
+                closed.add(z)
+                todo.append(z)
+    return frozenset(closed)
+
+
 def brute_force_subspaces(p: int, d: int) -> list[frozenset]:
-    """Subsets of F_p^d closed under addition and scaling (includes 0)."""
+    """Subsets of F_p^d closed under addition and scaling (includes 0).
+
+    Grown from {0} by adding one vector and closing again, instead of
+    testing all 2^(p^d) subsets. A closed set T is the closure of {0} plus
+    its points added one at a time, so none is missed. A vector w of the
+    closure t of s and v, outside s, is skipped: as p is prime, v is a
+    multiple of w plus a point of s, so the closure of s and w is t again.
+    """
     vectors = list(product(range(p), repeat=d))
-    zero = (0,) * d
-    subspaces = []
-    for bits in range(1 << len(vectors)):
-        subset = frozenset(
-            vectors[i] for i in range(len(vectors)) if bits >> i & 1
-        )
-        if zero not in subset:
-            continue
-        closed = True
-        for x in subset:
-            for y in subset:
-                s = tuple((a + b) % p for a, b in zip(x, y))
-                if s not in subset:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            for c in range(2, p):
-                if any(tuple(a * c % p for a in x) not in subset for x in subset):
-                    closed = False
-                    break
-        if closed:
-            subspaces.append(subset)
-    return subspaces
+    found = {_closure(p, [(0,) * d])}
+    frontier = set(found)
+    while frontier:
+        grown = set()
+        for s in frontier:
+            covered = set(s)
+            for v in vectors:
+                if v not in covered:
+                    t = _closure(p, s | {v})
+                    grown.add(t)
+                    covered |= t
+        frontier = grown - found
+        found |= grown
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def gaussian_binomial(d: int, k: int, p: int) -> int:

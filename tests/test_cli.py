@@ -439,6 +439,10 @@ GOLDEN = {
         "b732be07a9587a5e0cdfc8a9eb7fb6c59f77c601a04e384e60eb8957d81f036f",
     ("padic-verify", "--p", "5", "--d", "2", "--q", "3/5,4/5"):
         "5645817e2da31d60d7a7d5e061cebee8bc603c6cb6ed3f7419dccf06e6f604f9",
+    # the only pin at d = 4, captured while flags were built from echelon
+    # rows by pivot elimination
+    ("padic-verify", "--p", "2", "--d", "4", "--q", "9/16,5/8,3/4,7/8"):
+        "b1ca469c0cd2eecb58dbb1c9cd51ebe007cd069809f8169b76bea5266124a1e2",
 }
 
 
@@ -499,6 +503,15 @@ class TestDeterminismAndMeta:
         assert "unix_time" not in json.dumps(payload)
         side = json.loads(meta.read_text())
         assert side["tool"] == "clusternets" and "unix_time" in side
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-meta"])
+    def test_unwritable_output_path_exits_2(self, flag, data_dir, tmp_path, capsys):
+        target = tmp_path / "missing" / "file.json"
+        code, _, err = run(["cluster", str(data_dir / "trio_a.csv"), flag, str(target)], capsys)
+        assert code == 2 and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input" and str(target) in error["message"]
+        assert not target.parent.exists()
 
 
 CELLS = st.one_of(

@@ -16,7 +16,6 @@ from clusternets import (
     ball_of_radius,
     basis_from_chain,
     check_norm_axioms,
-    complete_flags,
     enumerate_subspaces,
     flag_count,
     intermediary_balls,
@@ -390,6 +389,14 @@ class TestHermiteAgainstDefinition:
         assert checked > 300
 
 
+def point_set(p, d, rows):
+    """The points of the span of echelon rows in F_p^d, over every coefficient vector."""
+    return frozenset(
+        tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % p for i in range(d))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    )
+
+
 class TestCounting:
     @pytest.mark.parametrize("p,d,strict", [(2, 2, 3), (3, 2, 4), (2, 3, 14)])
     def test_lattices_between_counts(self, p, d, strict):
@@ -404,16 +411,9 @@ class TestCounting:
         ours = enumerate_subspaces(p, d)
         brute = oracles.brute_force_subspaces(p, d)
         assert len(ours) == len(brute)
-        as_sets = {
-            frozenset(
-                tuple(sum(c * row[i] for c, row in zip(coeffs, s.rows)) % p for i in range(d))
-                for coeffs in __import__("itertools").product(range(p), repeat=s.dim)
-            )
-            for s in ours
-        }
-        assert as_sets == set(brute)
+        assert {point_set(p, d, rows) for rows in ours} == set(brute)
         for k in range(d + 1):
-            assert sum(1 for s in ours if s.dim == k) == oracles.gaussian_binomial(d, k, p)
+            assert sum(1 for rows in ours if len(rows) == k) == oracles.gaussian_binomial(d, k, p)
 
     @pytest.mark.parametrize("p,d,count", [(2, 2, 3), (3, 2, 4), (2, 3, 21)])
     def test_maximal_chain_counts(self, p, d, count):
@@ -421,27 +421,27 @@ class TestCounting:
         assert len(chains) == count
         assert len(chains) == flag_count(p, d)
         assert len(chains) == oracles.brute_force_flag_chains(p, d)
-        assert len(complete_flags(p, d)) == count
         assert len({tuple(c.lattices) for c in chains}) == count
 
-    @pytest.mark.parametrize("p,d", [(2, 3), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("p,d", [(2, 1), (5, 2), (2, 3), (3, 3), (2, 4)])
     def test_flags_are_every_nested_chain_in_enumeration_order(self, p, d):
+        """Every chain of brute-force subspaces of dimensions 1 .. d-1, in
+        lexicographic order of enumeration index, lifted, is the chain list."""
+        std = Lattice.standard(p, d)
         subspaces = enumerate_subspaces(p, d)
-        index = {s: i for i, s in enumerate(subspaces)}
-
-        def span(s):
-            return {
-                tuple(sum(c * row[i] for c, row in zip(coeffs, s.rows)) % p for i in range(d))
-                for coeffs in itertools.product(range(p), repeat=s.dim)
-            }
-
-        flags = complete_flags(p, d)
-        keys = [tuple(index[s] for s in flag) for flag in flags]
-        assert keys == sorted(set(keys))
+        index = {point_set(p, d, rows): i for i, rows in enumerate(subspaces)}
+        spaces = oracles.brute_force_subspaces(p, d)
+        flags = [()]
+        for k in range(1, d):
+            level = [s for s in spaces if len(s) == p**k]
+            flags = [f + (s,) for f in flags for s in level if not f or f[-1] < s]
         assert len(flags) == flag_count(p, d)
-        for flag in flags:
-            assert [s.dim for s in flag] == list(range(1, d))
-            assert all(span(a) < span(b) for a, b in zip(flag, flag[1:]))
+        keys = sorted(tuple(index[s] for s in flag) for flag in flags)
+        expected = [
+            (std.dilate(1), *(padic._lift_subspace(std, subspaces[i]) for i in key), std)
+            for key in keys
+        ]
+        assert [c.lattices for c in maximal_chains(std)] == expected
 
     def test_each_subspace_lifted_once(self, monkeypatch):
         lifts = []
@@ -750,11 +750,6 @@ class TestBallNetwork:
     def test_equal_weights_collapse_orderings(self):
         net = ball_network(2, 2, (F(4, 5), F(4, 5)), window=1)
         assert len(net.metric_ids) == 1
-
-    def test_duplicate_frames_warn_about_separation(self):
-        swap = ((F(0), F(1)), (F(1), F(0)))
-        with pytest.warns(UserWarning, match="does not separate"):
-            ball_network(2, 2, Q22, window=1, frames=[identity_matrix(2), swap])
 
     def test_reordering_norm_ids_are_deterministic(self):
         names = [name for name, _ in reordering_norms(2, Q22)]
