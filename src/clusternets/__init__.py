@@ -15,6 +15,7 @@ from .network import (
     ClusterNetwork,
     NetworkEdge,
     NetworkVertex,
+    chain_to_superball,
     is_r_ball,
     merge_dendrograms,
     minimal_common_superball,
@@ -49,7 +50,6 @@ from .simplicial import (
     SimplicialComplex,
     build_complex,
     check_compatibility,
-    intermediary_chain,
     network_dimension,
 )
 

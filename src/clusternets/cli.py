@@ -86,23 +86,6 @@ def _write_file(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _write_output(payload: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(payload)
-    else:
-        _write_file(out, payload)
-
-
-def _emit_meta(args: argparse.Namespace) -> None:
-    if getattr(args, "emit_meta", None):
-        meta = {
-            "tool": "clusternets",
-            "argv": sys.argv[1:],
-            "unix_time": time.time(),
-        }
-        _write_file(args.emit_meta, json.dumps(meta, indent=2) + "\n")
-
-
 def _parse_subfamily(arg: str | None, available: tuple[str, ...]) -> frozenset[str]:
     if arg is None:
         return frozenset(available)
@@ -124,37 +107,28 @@ def _parse_weights(arg: str, d: int) -> tuple:
     return q
 
 
-def cmd_network(args) -> int:
+def cmd_network(args) -> str:
     net = _network_from_paths(args.matrices)
-    _write_output(to_dot(net) if args.format == "dot" else to_json(net), args.out)
-    _emit_meta(args)
-    return 0
+    return to_dot(net) if args.format == "dot" else to_json(net)
 
 
-def cmd_complex(args) -> int:
+def cmd_complex(args) -> str:
     net = _network_from_paths(args.matrices)
     subfamily = _parse_subfamily(args.r, net.metric_ids)
     cx = build_complex(net, subfamily)
     if args.format == "dot":
-        payload = skeleton_dot(cx)
-    else:
-        dim = network_dimension(net, subfamily)
-        payload = _dump(complex_json_dict(cx, dim, check_compatibility(net)))
-    _write_output(payload, args.out)
-    _emit_meta(args)
-    return 0
+        return skeleton_dot(cx)
+    dim = network_dimension(net, subfamily)
+    return _dump(complex_json_dict(cx, dim, check_compatibility(net)))
 
 
-def cmd_dimension(args) -> int:
+def cmd_dimension(args) -> str:
     net = _network_from_paths(args.matrices)
     subfamily = _parse_subfamily(args.r, net.metric_ids)
-    doc = dimension_json_dict(network_dimension(net, subfamily), check_compatibility(net))
-    _write_output(_dump(doc), args.out)
-    _emit_meta(args)
-    return 0
+    return _dump(dimension_json_dict(network_dimension(net, subfamily), check_compatibility(net)))
 
 
-def cmd_padic_verify(args) -> int:
+def cmd_padic_verify(args) -> str:
     try:
         require_prime(args.p)
     except ValueError as exc:
@@ -206,18 +180,14 @@ def cmd_padic_verify(args) -> int:
             "metrics": len(net.metric_ids),
             "dimension": dim.overall,
         }
-    _write_output(_dump(report), args.out)
-    _emit_meta(args)
-    return 0
+    return _dump(report)
 
 
-def cmd_phylo_sweep(args) -> int:
+def cmd_phylo_sweep(args) -> str:
     markers = load_marker_bundle(args.manifest)
     grid = load_sweep_spec(args.sweep_spec, len(markers))
     net = sweep(markers, grid)
-    _write_output(to_dot(net) if args.format == "dot" else to_json(net), args.out)
-    _emit_meta(args)
-    return 0
+    return to_dot(net) if args.format == "dot" else to_json(net)
 
 
 def _add_common(sub: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -290,10 +260,21 @@ def _error_json(code: int, kind: str, message: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. Its payload is complete, and the --emit-meta file
+    written, before the payload's first byte goes out, so an exit 2 leaves
+    no payload behind."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if args.emit_meta:
+            meta = {"tool": "clusternets", "argv": argv, "unix_time": time.time()}
+            _write_file(args.emit_meta, json.dumps(meta, indent=2) + "\n")
+        if args.out is None or args.out == "-":
+            sys.stdout.write(payload)
+        else:
+            _write_file(args.out, payload)
+        return 0
     except (InputError, StructuralError) as exc:
         _error_json(2, "input", str(exc))
         return 2

@@ -3,7 +3,8 @@
 Vertices are clusters identified by member set; edges are the per-tree
 parent links, tagged with the set of metrics contributing them. Restricting
 to any single metric id recovers that metric's dendrogram exactly, and every
-query walks up one metric's tree along its parent links.
+query walks up one metric's tree along its parent links with
+`chain_to_superball`.
 Serialization is canonical (vertices by (size, member names), edges by ids,
 metric tags sorted), so permuting the input dendrograms changes nothing.
 """
@@ -14,6 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .dendrogram import Dendrogram, mask_members
 from .errors import StructuralError
@@ -29,8 +31,12 @@ class NetworkVertex:
 
     vertex_id: int
     members: int
-    present_in: frozenset[str]
     radius_by_metric: tuple[tuple[str, Fraction], ...]
+
+    @cached_property
+    def present_in(self) -> frozenset[str]:
+        """The metrics this cluster is a ball of: the keys of its radii."""
+        return frozenset(mid for mid, _ in self.radius_by_metric)
 
     @property
     def size(self) -> int:
@@ -139,7 +145,6 @@ def merge_dendrograms(dendros: list[Dendrogram], ids: list[str]) -> ClusterNetwo
         NetworkVertex(
             vertex_id=i,
             members=members,
-            present_in=frozenset(present[members]),
             radius_by_metric=tuple(sorted(present[members].items())),
         )
         for i, members in enumerate(ordered)
@@ -179,23 +184,29 @@ def minimal_common_superball(
     r = frozenset(r)
     if not is_r_ball(net, ball, r):
         raise ValueError(f"vertex {ball.vertex_id} is not an r-ball for {sorted(r)}")
-    return first_r_ancestor(net, ball, r)
+    chain = chain_to_superball(net, ball.vertex_id, r, min(r))
+    return None if chain is None else net.vertices[chain[-1]]
 
 
-def first_r_ancestor(
-    net: ClusterNetwork, ball: NetworkVertex, r: frozenset[str]
-) -> NetworkVertex | None:
-    """The first r-ball above `ball` on its path in one metric's tree.
+def chain_to_superball(
+    net: ClusterNetwork, ball_id: int, r: frozenset[str], metric_id: str
+) -> list[int] | None:
+    """Ids of `metric_id`'s balls from `ball_id` up to the first r-ball
+    strictly above it, or None at the root.
 
     Every r-ball is a ball of each metric in r, so the r-balls containing
-    `ball` all lie on its ancestor path in any one metric's tree: the first
-    of them on that walk is the unique minimum. r is not checked here.
+    the ball all lie on its ancestor path in each metric of r: the walk
+    along any one of them stops at the same minimal common superball, and
+    the walk itself is that metric's chain between the two. r is not
+    checked here.
     """
-    links = net.parent_ids(min(r))
-    i = links.get(ball.vertex_id)
-    while i is not None and not r <= net.vertices[i].present_in:
-        i = links.get(i)
-    return None if i is None else net.vertices[i]
+    links = net.parent_ids(metric_id)
+    chain = [ball_id]
+    while chain[-1] in links:
+        chain.append(links[chain[-1]])
+        if r <= net.vertices[chain[-1]].present_in:
+            return chain
+    return None
 
 
 def undirected_cycles(net: ClusterNetwork) -> list[tuple[int, ...]]:
@@ -212,20 +223,17 @@ def undirected_cycles(net: ClusterNetwork) -> list[tuple[int, ...]]:
         adj[a].append(b)
         adj[b].append(a)
     parent: dict[int, int | None] = {}
-    order: dict[int, int] = {}
     for start in range(n):
         if start in parent:
             continue
         parent[start] = None
         queue = [start]
-        while queue:
-            u = queue.pop(0)
-            order[u] = len(order)
+        for u in queue:  # breadth first: the loop reaches what it appends
             for w in sorted(adj[u]):
                 if w not in parent:
                     parent[w] = u
                     queue.append(w)
-    tree = {(min(u, w), max(u, w)) for u, w in ((v, p) for v, p in parent.items() if p is not None)}
+    tree = {(min(v, p), max(v, p)) for v, p in parent.items() if p is not None}
     cycles = []
     for a, b in pairs:
         if (a, b) in tree:

@@ -1,12 +1,13 @@
 """Simplicial structure and dimension of a cluster network.
 
-For a subfamily r of metrics, one pass visits each r-ball I that has a
-minimal common superball J and yields (I, J, the chain of balls from I up
-to J in each metric of r). The r-dimension of (I, J) is the longest chain's
-length minus one. The complex is kept as its distinct chains; every subset
-(size >= 2) of a chain is a simplex, so no simplex mixes incomparable balls
-of different metrics. Facets and the DOT skeleton read the chains; only the
-JSON payload derives the faces.
+For a subfamily r of metrics, one pass visits each r-ball I and walks up
+each metric of r from I to the first r-ball above it. Every walk stops at
+the same J, the minimal common superball, and is that metric's chain of
+balls from I to J; the root has no J. The r-dimension of (I, J) is the
+longest chain's length minus one. The complex is kept as its distinct
+chains; every subset (size >= 2) of a chain is a simplex, so no simplex
+mixes incomparable balls of different metrics. Facets and the DOT skeleton
+read the chains; only the JSON payload derives the faces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .dendrogram import mask_members
-from .network import ClusterNetwork, NetworkVertex, first_r_ancestor, subfamily
+from .network import ClusterNetwork, chain_to_superball, subfamily
 
 
 @dataclass(frozen=True)
@@ -86,39 +87,20 @@ def check_compatibility(net: ClusterNetwork) -> CompatibilityReport:
     def names(mask: int) -> list[str]:
         return [net.labels[i] for i in mask_members(mask)]
 
-    for a in net.vertices:
-        for b in net.vertices:
-            if b.vertex_id <= a.vertex_id:
-                continue
-            if a.present_in & b.present_in:
-                continue  # same-tree pairs are nested or disjoint already
-            inter = a.members & b.members
-            if inter == 0 or inter in member_sets:
-                continue
-            violations.append(
-                {
-                    "first": {"id": a.vertex_id, "members": names(a.members)},
-                    "second": {"id": b.vertex_id, "members": names(b.members)},
-                    "intersection": names(inter),
-                }
-            )
+    for a, b in combinations(net.vertices, 2):
+        if a.present_in & b.present_in:
+            continue  # same-tree pairs are nested or disjoint already
+        inter = a.members & b.members
+        if inter == 0 or inter in member_sets:
+            continue
+        violations.append(
+            {
+                "first": {"id": a.vertex_id, "members": names(a.members)},
+                "second": {"id": b.vertex_id, "members": names(b.members)},
+                "intersection": names(inter),
+            }
+        )
     return CompatibilityReport(not violations, tuple(violations))
-
-
-def intermediary_chain(
-    net: ClusterNetwork, inner: NetworkVertex, outer: NetworkVertex, metric_id: str
-) -> list[NetworkVertex]:
-    """All balls of one metric between `inner` and `outer`, smallest first:
-    the walk up that metric's tree from `inner` to `outer`."""
-    links = net.parent_ids(metric_id)
-    if metric_id not in inner.present_in or metric_id not in outer.present_in:
-        raise ValueError(f"endpoints must both be balls of metric {metric_id!r}")
-    if inner.members & outer.members != inner.members:
-        raise ValueError("inner ball is not contained in outer ball")
-    chain = [inner]
-    while chain[-1].vertex_id != outer.vertex_id:
-        chain.append(net.vertices[links[chain[-1].vertex_id]])
-    return chain
 
 
 def _pair_chains(
@@ -126,18 +108,15 @@ def _pair_chains(
 ) -> Iterator[tuple[tuple[int, int], list[tuple[str, list[int]]]]]:
     """Each r-ball I with a minimal common superball J, in vertex order, as
     ((I, J) ids, [(metric, ball ids of its chain from I up to J)]), the
-    metrics of r in sorted order. r is checked once, up front."""
+    metrics of r in sorted order. r is checked once, up front; each metric's
+    walk stops at the same J, so J is the last id of any of them."""
     r = subfamily(net, r)
     metrics = sorted(r)
     for v in net.vertices:
-        if not r <= v.present_in:
-            continue
-        j = first_r_ancestor(net, v, r)
-        if j is not None:
-            yield (v.vertex_id, j.vertex_id), [
-                (mid, [u.vertex_id for u in intermediary_chain(net, v, j, mid)])
-                for mid in metrics
-            ]
+        if r <= v.present_in:
+            chains = [(mid, chain_to_superball(net, v.vertex_id, r, mid)) for mid in metrics]
+            if chains[0][1] is not None:
+                yield (v.vertex_id, chains[0][1][-1]), chains
 
 
 def build_complex(net: ClusterNetwork, r: frozenset[str] | set[str]) -> SimplicialComplex:

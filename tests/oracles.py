@@ -125,6 +125,24 @@ def complex_by_definition(balls: dict, r) -> tuple[dict, dict]:
     return simplices, dims
 
 
+def violations_by_definition(balls: dict) -> list[tuple[list, list, list]]:
+    """Incompatible intersections of a cluster system, from member sets.
+
+    `balls` maps each metric id to its balls as frozensets of labels. Every
+    pair of balls that share no metric, taken in (size, sorted labels)
+    order, whose intersection is nonempty and no ball of any metric is a
+    violation, listed as (first, second, intersection) sorted labels.
+    """
+    every = set().union(*balls.values())
+    metrics_of = {b: {m for m, bs in balls.items() if b in bs} for b in every}
+    ordered = sorted(every, key=lambda s: (len(s), sorted(s)))
+    return [
+        (sorted(a), sorted(b), sorted(a & b))
+        for a, b in combinations(ordered, 2)
+        if not metrics_of[a] & metrics_of[b] and a & b and a & b not in every
+    ]
+
+
 def random_rational(rng, max_num=40, max_den=6) -> Fraction:
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
 

@@ -425,6 +425,12 @@ GOLDEN = {
         "a94b0d24dddc025c7baefdef59f4b614fb2ff9d96a91cfe24264445533e25231",
     ("complex", "random32/m1.csv", "random32/m2.csv", "--format", "dot"):
         "0747288314ffb163b60d908ac153c39607f88119fa70837abe9a3230c264b2f1",
+    # chains of up to 21 balls, captured while the pass walked each metric
+    # from I to a J found beforehand along the first metric of r
+    ("dimension", "random32/m1.csv", "random32/m2.csv"):
+        "c4a916f7a9172adb63fade03a4833dd818d49b4251a0326ae43342cded677596",
+    ("dimension", "random32/m1.csv", "random32/m2.csv", "--r", "m1"):
+        "3aca7d2d0ce6f21c953eaa673d416f89bda8eb16a6cc544f438170282cc3a872",
     ("padic-verify", "--p", "2", "--d", "3", "--q", "5/8,3/4,7/8"):
         "c91ba789ab441d4be527cb53abc03d04263f7801cc83f9f17f89b58fdf7dcdd6",
     ("padic-verify", "--p", "3", "--d", "2", "--q", "1/2,2/3"):
@@ -504,14 +510,29 @@ class TestDeterminismAndMeta:
         side = json.loads(meta.read_text())
         assert side["tool"] == "clusternets" and "unix_time" in side
 
+    def test_meta_records_the_parsed_argv(self, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["host", "extra-arg"])
+        meta = tmp_path / "meta.json"
+        argv = ["cluster", str(data_dir / "trio_a.csv"), "--emit-meta", str(meta)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["labels"] == ["A", "B", "C"]
+        assert json.loads(meta.read_text())["argv"] == argv
+
     @pytest.mark.parametrize("flag", ["--out", "--emit-meta"])
     def test_unwritable_output_path_exits_2(self, flag, data_dir, tmp_path, capsys):
         target = tmp_path / "missing" / "file.json"
-        code, _, err = run(["cluster", str(data_dir / "trio_a.csv"), flag, str(target)], capsys)
-        assert code == 2 and err.count("\n") == 1
+        code, out, err = run(["cluster", str(data_dir / "trio_a.csv"), flag, str(target)], capsys)
+        assert code == 2 and err.count("\n") == 1 and not out
         error = json.loads(err)["error"]
         assert error["kind"] == "input" and str(target) in error["message"]
         assert not target.parent.exists()
+
+    def test_unwritable_meta_leaves_no_payload_file(self, data_dir, tmp_path, capsys):
+        out, meta = tmp_path / "net.json", tmp_path / "missing" / "meta.json"
+        argv = ["cluster", str(data_dir / "trio_a.csv"), "--out", str(out)]
+        code, stdout, err = run(argv + ["--emit-meta", str(meta)], capsys)
+        assert code == 2 and not stdout and str(meta) in json.loads(err)["error"]["message"]
+        assert not out.exists()
 
 
 CELLS = st.one_of(

@@ -194,7 +194,7 @@ class TestMinimalSuperball:
 def hand_built(masks, edges, metric_ids=("m",)):
     """Network on labels a, b, c whose vertices are balls of metric "m"."""
     verts = tuple(
-        NetworkVertex(i, mask, frozenset({"m"}), (("m", F(mask.bit_count() - 1)),))
+        NetworkVertex(i, mask, (("m", F(mask.bit_count() - 1)),))
         for i, mask in enumerate(masks)
     )
     links = tuple(NetworkEdge(c, p, frozenset(tags)) for c, p, tags in edges)
@@ -242,8 +242,9 @@ class TestConstructionChecks:
     @pytest.mark.parametrize(
         "vertex, message",
         [
-            (NetworkVertex(1, 0b111, frozenset({"m"}), (("m", F(2)),)), "ids must be 0, 1"),
-            (NetworkVertex(0, 0b111, frozenset({"m", "z"}), ()), "unknown metrics"),
+            (NetworkVertex(1, 0b111, (("m", F(2)),)), "ids must be 0, 1"),
+            # the metrics a vertex is a ball of are the keys of its radii
+            (NetworkVertex(0, 0b111, (("m", F(2)), ("z", F(2)))), "unknown metrics"),
         ],
     )
     def test_bad_vertex_rejected(self, vertex, message):

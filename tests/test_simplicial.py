@@ -8,8 +8,8 @@ from clusternets import (
     DistanceMatrix,
     build_complex,
     build_dendrogram,
+    chain_to_superball,
     check_compatibility,
-    intermediary_chain,
     merge_dendrograms,
     minimal_common_superball,
     network_dimension,
@@ -57,35 +57,42 @@ class TestCompatibility:
         assert ("B", "C") in offending
 
 
+def test_compatibility_matches_definition():
+    """Random families on <= 7 points vs the member-set oracle, in report order."""
+    rng = random.Random(1405)
+    seen = 0
+    for _ in range(60):
+        n, k = rng.randint(2, 7), rng.randint(2, 3)
+        labels = [f"p{i}" for i in range(n)]
+        ids = [f"m{j}" for j in range(k)]
+        mats = [oracles.random_dissimilarity(rng, n) for _ in ids]
+        net = merge_dendrograms([build_dendrogram(DistanceMatrix(labels, e)) for e in mats], ids)
+        balls = {mid: oracles.balls_by_definition(e, labels) for mid, e in zip(ids, mats)}
+        rep = check_compatibility(net)
+        got = [
+            (v["first"]["members"], v["second"]["members"], v["intersection"])
+            for v in rep.violations
+        ]
+        assert got == oracles.violations_by_definition(balls)
+        assert rep.compatible == (not got)
+        seen += len(got)
+    assert seen  # the families do break compatibility
+
+
 class TestIntermediaryChain:
+    """The walk up one metric's tree from a ball to its minimal common superball."""
+
     def test_first_tree_chain(self, net_c1):
-        chain = intermediary_chain(
-            net_c1, vertex(net_c1, "B"), vertex(net_c1, "ABC"), "m1"
-        )
-        assert [names(net_c1, v) for v in chain] == ["B", "AB", "ABC"]
+        chain = chain_to_superball(net_c1, vertex(net_c1, "B").vertex_id, {"m1", "m2"}, "m1")
+        assert [names(net_c1, net_c1.vertices[i]) for i in chain] == ["B", "AB", "ABC"]
 
     def test_second_tree_chain(self, net_c1):
-        chain = intermediary_chain(
-            net_c1, vertex(net_c1, "B"), vertex(net_c1, "ABC"), "m2"
-        )
-        assert [names(net_c1, v) for v in chain] == ["B", "BC", "ABC"]
-
-    def test_equal_endpoints(self, net_c1):
-        b = vertex(net_c1, "B")
-        assert intermediary_chain(net_c1, b, b, "m1") == [b]
-
-    def test_non_nested_rejected(self, net_c1):
-        with pytest.raises(ValueError, match="contained"):
-            intermediary_chain(net_c1, vertex(net_c1, "ABC"), vertex(net_c1, "B"), "m1")
+        chain = chain_to_superball(net_c1, vertex(net_c1, "B").vertex_id, {"m1", "m2"}, "m2")
+        assert [names(net_c1, net_c1.vertices[i]) for i in chain] == ["B", "BC", "ABC"]
 
     def test_unknown_metric_rejected(self, net_c1):
-        b = vertex(net_c1, "B")
         with pytest.raises(LookupError):
-            intermediary_chain(net_c1, b, b, "nope")
-
-    def test_non_ball_endpoint_rejected(self, net_c1):
-        with pytest.raises(ValueError, match="balls of metric"):
-            intermediary_chain(net_c1, vertex(net_c1, "AB"), vertex(net_c1, "ABC"), "m2")
+            chain_to_superball(net_c1, vertex(net_c1, "B").vertex_id, {"m1"}, "nope")
 
 
 def anchored_at(cx, inner, outer):
