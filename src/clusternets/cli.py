@@ -3,7 +3,8 @@
 Subcommands: cluster, network, complex, dimension, padic-verify,
 phylo-sweep. Output is deterministic (canonical ordering everywhere, no
 timestamps in the payload); run metadata can be emitted to a side file with
---emit-meta. Exit codes: 0 success, 2 input validation failure, 3 internal
+--emit-meta, left only beside a run that exits 0. Exit codes: 0 success, 2
+bad input (a `StructuralError`, the one exception mapped to 2), 3 internal
 invariant violation. Errors go to stderr as one-line JSON.
 """
 
@@ -17,8 +18,8 @@ from pathlib import Path
 
 from .dendrogram import build_dendrogram
 from .errors import StructuralError
-from .metric import DistanceMatrix, as_fraction
-from .network import ClusterNetwork, merge_dendrograms, to_dot, to_json
+from .metric import as_fraction, matrix_name, read_matrix
+from .network import ClusterNetwork, merge_dendrograms, subfamily, to_dot, to_json
 from .padic import (
     Lattice,
     NormSpec,
@@ -40,25 +41,8 @@ from .simplicial import (
 )
 
 
-class InputError(Exception):
-    """User-facing input problem; maps to exit code 2."""
-
-
-def _read_matrix(path: str) -> DistanceMatrix:
-    name = "stdin" if path == "-" else Path(path).stem
-    try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    try:
-        return DistanceMatrix.from_csv(text)
-    except StructuralError as exc:
-        raise InputError(f"{name}: {exc}") from None
-
-
 def _metric_id(path: str, used: set[str]) -> str:
-    base = "stdin" if path == "-" else Path(path).stem
-    name = base
+    base = name = matrix_name(path)
     k = 1
     while name in used:
         name = f"{base}.{k}"
@@ -70,8 +54,7 @@ def _metric_id(path: str, used: set[str]) -> str:
 def _network_from_paths(paths: list[str]) -> ClusterNetwork:
     used: set[str] = set()
     ids = [_metric_id(p, used) for p in paths]
-    matrices = [_read_matrix(p) for p in paths]
-    dendros = [build_dendrogram(m) for m in matrices]
+    dendros = [build_dendrogram(read_matrix(p)) for p in paths]
     return merge_dendrograms(dendros, ids)
 
 
@@ -83,27 +66,22 @@ def _write_file(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+        raise StructuralError(f"cannot write {path}: {exc}") from None
 
 
-def _parse_subfamily(arg: str | None, available: tuple[str, ...]) -> frozenset[str]:
+def _parse_subfamily(arg: str | None, net: ClusterNetwork) -> frozenset[str]:
     if arg is None:
-        return frozenset(available)
-    ids = frozenset(x for x in arg.split(",") if x)
-    unknown = ids - set(available)
-    if unknown:
-        raise InputError(
-            f"unknown metric ids {sorted(unknown)}; available: {sorted(available)}"
-        )
-    if not ids:
-        raise InputError("empty subfamily")
-    return ids
+        return frozenset(net.metric_ids)
+    try:
+        return subfamily(net, {x for x in arg.split(",") if x})
+    except (ValueError, LookupError) as exc:
+        raise StructuralError(f"{exc}; available: {sorted(net.metric_ids)}") from None
 
 
 def _parse_weights(arg: str, d: int) -> tuple:
     q = tuple(as_fraction(x) for x in arg.split(","))
     if len(q) != d:
-        raise InputError(f"got {len(q)} weights for dimension {d}")
+        raise StructuralError(f"got {len(q)} weights for dimension {d}")
     return q
 
 
@@ -114,31 +92,28 @@ def cmd_network(args) -> str:
 
 def cmd_complex(args) -> str:
     net = _network_from_paths(args.matrices)
-    subfamily = _parse_subfamily(args.r, net.metric_ids)
-    cx = build_complex(net, subfamily)
+    r = _parse_subfamily(args.r, net)
+    cx = build_complex(net, r)
     if args.format == "dot":
         return skeleton_dot(cx)
-    dim = network_dimension(net, subfamily)
+    dim = network_dimension(net, r)
     return _dump(complex_json_dict(cx, dim, check_compatibility(net)))
 
 
 def cmd_dimension(args) -> str:
     net = _network_from_paths(args.matrices)
-    subfamily = _parse_subfamily(args.r, net.metric_ids)
-    return _dump(dimension_json_dict(network_dimension(net, subfamily), check_compatibility(net)))
+    r = _parse_subfamily(args.r, net)
+    return _dump(dimension_json_dict(network_dimension(net, r), check_compatibility(net)))
 
 
 def cmd_padic_verify(args) -> str:
-    try:
-        require_prime(args.p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    require_prime(args.p)
     if args.d < 1:
-        raise InputError(f"dimension must be positive, got {args.d}")
+        raise StructuralError(f"dimension must be positive, got {args.d}")
     if args.precision < 1:
-        raise InputError(f"precision must be at least 1, got {args.precision}")
+        raise StructuralError(f"precision must be at least 1, got {args.precision}")
     if args.window < 0:
-        raise InputError(f"window must be at least 0, got {args.window}")
+        raise StructuralError(f"window must be at least 0, got {args.window}")
     if args.q is None:
         q = default_weights(args.p, args.d)
     else:
@@ -146,11 +121,11 @@ def cmd_padic_verify(args) -> str:
     for x in q:
         if not (0 < x <= 1) or x * args.p <= 1:
             hint = "" if args.q else "; the default weights need d < p^2, so pass --q"
-            raise InputError(f"weight {x} outside (1/{args.p}, 1]{hint}")
+            raise StructuralError(f"weight {x} outside (1/{args.p}, 1]{hint}")
     if len(set(q)) == len(q):
         ordered = tuple(sorted(q))
         if ordered != tuple(q):
-            raise InputError(
+            raise StructuralError(
                 "weights must be strictly increasing; try "
                 + ",".join(str(x) for x in ordered)
             )
@@ -262,7 +237,8 @@ def _error_json(code: int, kind: str, message: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Its payload is complete, and the --emit-meta file
     written, before the payload's first byte goes out, so an exit 2 leaves
-    no payload behind."""
+    no payload behind. A payload that cannot be written takes the meta file
+    with it, so a meta file exists only beside a run that exits 0."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
@@ -270,12 +246,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.emit_meta:
             meta = {"tool": "clusternets", "argv": argv, "unix_time": time.time()}
             _write_file(args.emit_meta, json.dumps(meta, indent=2) + "\n")
-        if args.out is None or args.out == "-":
-            sys.stdout.write(payload)
-        else:
-            _write_file(args.out, payload)
+        try:
+            if args.out is None or args.out == "-":
+                sys.stdout.write(payload)
+            else:
+                _write_file(args.out, payload)
+        except Exception:
+            if args.emit_meta:
+                Path(args.emit_meta).unlink(missing_ok=True)
+            raise
         return 0
-    except (InputError, StructuralError) as exc:
+    except StructuralError as exc:
         _error_json(2, "input", str(exc))
         return 2
     except Exception as exc:  # pragma: no cover - invariant violations

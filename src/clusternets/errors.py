@@ -1,11 +1,11 @@
 """Shared exception type.
 
-`StructuralError` marks malformed input: asymmetry, a bad cell, a label
-mismatch, or a hand-built `ClusterNetwork` whose per-metric parent links do
-not form one laminar tree. Networks fused from dendrograms always pass that
-check, so queries on a constructed network need no error path of their own.
+`StructuralError` covers every bad input: malformed data (asymmetry, a bad
+cell, a label mismatch, a hand-built `ClusterNetwork` whose per-metric
+parent links do not form one laminar tree), an unusable argument, or a path
+that cannot be read or written. The CLI maps it, and only it, to exit 2.
 """
 
 
 class StructuralError(ValueError):
-    """Malformed input data (asymmetry, bad cell, label mismatch, ...)."""
+    """Bad input: malformed data, an unusable argument or an unusable path."""

@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import io
 import re
+import sys
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 from typing import Sequence
 
 from .errors import StructuralError
@@ -239,6 +241,25 @@ class DistanceMatrix:
             )
         entries = [rows[name] for name in names]
         return cls(names, entries)
+
+
+def matrix_name(path: str | Path) -> str:
+    """The name a matrix file goes by: its stem, or "stdin" for "-"."""
+    return "stdin" if path == "-" else Path(path).stem
+
+
+def read_matrix(path: str | Path) -> DistanceMatrix:
+    """Read and parse a distance-matrix CSV file. Only the string "-" reads
+    stdin; a `Path` always names a file. Every error names the source."""
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        text.encode()  # stdin may pass undecodable bytes on as surrogates
+    except (OSError, UnicodeError) as exc:
+        raise StructuralError(f"cannot read {path}: {exc}") from None
+    try:
+        return DistanceMatrix.from_csv(text)
+    except StructuralError as exc:
+        raise StructuralError(f"{matrix_name(path)}: {exc}") from None
 
 
 def _merge_ranks(dm: DistanceMatrix) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:

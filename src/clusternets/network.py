@@ -38,10 +38,6 @@ class NetworkVertex:
         """The metrics this cluster is a ball of: the keys of its radii."""
         return frozenset(mid for mid, _ in self.radius_by_metric)
 
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
-
     def radius(self, metric_id: str) -> Fraction:
         for mid, r in self.radius_by_metric:
             if mid == metric_id:

@@ -45,7 +45,7 @@ Matrix = tuple[Vector, ...]
 
 def require_prime(p: int) -> None:
     if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
-        raise ValueError(f"p must be prime, got {p}")
+        raise StructuralError(f"p must be prime, got {p}")
 
 
 def pval(x: Fraction | int, p: int) -> int:

@@ -13,13 +13,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, pairwise
 from math import lcm
 from operator import add
 from pathlib import Path
 
 from .dendrogram import Dendrogram, build_dendrogram
 from .errors import StructuralError
-from .metric import DistanceMatrix, as_fraction
+from .metric import DistanceMatrix, as_fraction, read_matrix
 from .network import ClusterNetwork, merge_dendrograms
 
 
@@ -121,25 +122,17 @@ class SweepGrid:
 
     @classmethod
     def simplex(cls, n_markers: int, resolution: int) -> "SweepGrid":
-        """All weight vectors k/resolution with integer compositions k."""
+        """All weight vectors k/resolution with integer compositions k, by stars
+        and bars: n_markers - 1 bars among resolution + n_markers - 1 slots."""
+        if n_markers < 1:
+            raise StructuralError("simplex grid needs at least one marker")
         if resolution < 1:
             raise StructuralError("resolution must be at least 1")
-        vectors = []
-
-        def compose(remaining: int, slots: int, prefix: tuple[int, ...]):
-            if slots == 1:
-                vectors.append(prefix + (remaining,))
-                return
-            for first in range(remaining + 1):
-                compose(remaining - first, slots - 1, prefix + (first,))
-
-        compose(resolution, n_markers, ())
-        fracs = [
-            tuple(Fraction(k, resolution) for k in vec)
-            for vec in vectors
-            if any(vec)
-        ]
-        return cls.explicit(fracs)
+        slots = resolution + n_markers - 1
+        return cls.explicit(
+            tuple(Fraction(b - a - 1, resolution) for a, b in pairwise((-1, *bars, slots)))
+            for bars in combinations(range(slots), n_markers - 1)
+        )
 
 
 def weight_id(w: tuple[Fraction, ...]) -> str:
@@ -179,12 +172,7 @@ def load_marker_bundle(manifest_path: str | Path) -> MarkerSet:
             isinstance(entry.get(key), str) for key in ("id", "path")
         ):
             raise StructuralError(f"bad marker entry {entry!r}")
-        path = manifest_path.parent / entry["path"]
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise StructuralError(f"cannot read marker file {path}: {exc}") from None
-        markers.append((entry["id"], DistanceMatrix.from_csv(text)))
+        markers.append((entry["id"], read_matrix(manifest_path.parent / entry["path"])))
     return MarkerSet(tuple(markers))
 
 

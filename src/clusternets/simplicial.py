@@ -139,9 +139,7 @@ def network_dimension(net: ClusterNetwork, r: frozenset[str] | set[str]) -> Dime
     return DimensionReport(per_pair, overall)
 
 
-def dimension_json_dict(
-    report: DimensionReport, compatibility: CompatibilityReport | None = None
-) -> dict:
+def dimension_json_dict(report: DimensionReport, compatibility: CompatibilityReport) -> dict:
     """Dimension report plus warnings, without enumerating any simplex."""
     out: dict = {
         "dimension": {
@@ -152,18 +150,14 @@ def dimension_json_dict(
             ],
         },
     }
-    warnings: dict = {}
-    if compatibility is not None and not compatibility.compatible:
-        warnings["incompatible_intersections"] = [dict(v) for v in compatibility.violations]
-    if warnings:
-        out["warnings"] = warnings
+    if not compatibility.compatible:
+        violations = [dict(v) for v in compatibility.violations]
+        out["warnings"] = {"incompatible_intersections": violations}
     return out
 
 
 def complex_json_dict(
-    cx: SimplicialComplex,
-    report: DimensionReport,
-    compatibility: CompatibilityReport | None = None,
+    cx: SimplicialComplex, report: DimensionReport, compatibility: CompatibilityReport
 ) -> dict:
     out = dimension_json_dict(report, compatibility)
     out["simplices"] = [

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -74,6 +75,13 @@ class TestCluster:
         bad = tmp_path / "latin1.csv"
         bad.write_bytes("label,Ä,B\nÄ,0,1\nB,1,0\n".encode("latin-1"))
         code, out, err = run(["cluster", str(bad)], capsys)
+        assert code == 2 and not out
+        assert "cannot read" in json.loads(err)["error"]["message"]
+
+    def test_undecodable_stdin_exit_2(self, capsys, monkeypatch):
+        # under the POSIX locale stdin passes a non-UTF-8 byte on as a surrogate
+        monkeypatch.setattr("sys.stdin", io.StringIO("label,\udcff,B\n\udcff,0,1\nB,1,0\n"))
+        code, out, err = run(["cluster", "-"], capsys)
         assert code == 2 and not out
         assert "cannot read" in json.loads(err)["error"]["message"]
 
@@ -161,6 +169,12 @@ class TestComplexAndDimension:
         )
         assert code == 2
         assert "unknown metric ids" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("r", ["trio_a,nope", ",", ""])
+    def test_bad_subfamily_lists_available_ids(self, r, data_dir, capsys):
+        code, out, err = run(["dimension", str(data_dir / "trio_a.csv"), "--r", r], capsys)
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["message"].endswith("; available: ['trio_a']")
 
     def test_incompatible_family_warning_block(self, data_dir, capsys):
         code, out, _ = run(
@@ -330,6 +344,17 @@ class TestPhyloSweep:
         )
         assert code == 2 and not out
         assert "split_ab_cd.csv" in json.loads(err)["error"]["message"]
+
+    def test_malformed_marker_csv_exit_2_names_the_file(self, data_dir, tmp_path, capsys):
+        markers = tmp_path / "markers"
+        shutil.copytree(data_dir / "markers", markers)
+        (markers / "split_ab_cd.csv").write_text("label,A,B\nA,0,1\nB,3,0\n")
+        code, out, err = run(
+            ["phylo-sweep", str(markers / "manifest.json"), str(markers / "sweep_units.json")],
+            capsys,
+        )
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["message"] == "split_ab_cd: asymmetry at (A,B): 1 != 3"
 
     def test_zero_vector_exit_2(self, data_dir, capsys):
         markers = data_dir / "markers"
@@ -527,6 +552,13 @@ class TestDeterminismAndMeta:
         assert error["kind"] == "input" and str(target) in error["message"]
         assert not target.parent.exists()
 
+    def test_unwritable_out_leaves_no_meta_file(self, data_dir, tmp_path, capsys):
+        out, meta = tmp_path / "missing" / "net.json", tmp_path / "meta.json"
+        argv = ["cluster", str(data_dir / "trio_a.csv"), "--out", str(out)]
+        code, stdout, err = run(argv + ["--emit-meta", str(meta)], capsys)
+        assert code == 2 and not stdout and str(out) in json.loads(err)["error"]["message"]
+        assert not meta.exists()
+
     def test_unwritable_meta_leaves_no_payload_file(self, data_dir, tmp_path, capsys):
         out, meta = tmp_path / "net.json", tmp_path / "missing" / "meta.json"
         argv = ["cluster", str(data_dir / "trio_a.csv"), "--out", str(out)]
@@ -560,17 +592,36 @@ def matrix_csv(draw):
     return "\n".join(lines) + "\n"
 
 
-@given(st.one_of(st.text(), matrix_csv()))
-@settings(max_examples=150, deadline=None)
-def test_cluster_stdin_fuzz_exits_0_or_2(text):
+def run_quietly(argv) -> int:
+    """Run the CLI on argv; assert it exits 0 with a payload, or 2 with one
+    JSON line on stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
-        out
-    ), contextlib.redirect_stderr(err):
-        code = main(["cluster", "-"])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 2), err.getvalue()
     if err.getvalue():
         assert err.getvalue().count("\n") == 1
         assert json.loads(err.getvalue())["error"]["code"] == code == 2
     else:
         assert code == 0 and json.loads(out.getvalue())["labels"]
+    return code
+
+
+@given(st.one_of(st.text(), matrix_csv()))
+@settings(max_examples=150, deadline=None)
+def test_cluster_stdin_fuzz_exits_0_or_2(text):
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        run_quietly(["cluster", "-"])
+
+
+@given(matrix_csv(), matrix_csv())
+@settings(max_examples=100, deadline=None)
+def test_phylo_sweep_fuzz_exits_0_or_2(first, second):
+    markers = {"markers": [{"id": "m1", "path": "m1.csv"}, {"id": "m2", "path": "m2.csv"}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp)
+        (bundle / "m1.csv").write_text(first)
+        (bundle / "m2.csv").write_text(second)
+        (bundle / "manifest.json").write_text(json.dumps(markers))
+        (bundle / "sweep.json").write_text('{"grid": {"type": "simplex", "resolution": 2}}')
+        run_quietly(["phylo-sweep", str(bundle / "manifest.json"), str(bundle / "sweep.json")])

@@ -1,5 +1,8 @@
+import io
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from clusternets import (
     chain_distance,
 )
 from clusternets.dendrogram import mask_members
+from clusternets.metric import read_matrix
 
 import oracles
 from conftest import cut
@@ -170,6 +174,26 @@ class TestCsv:
     def test_repeated_row_label_rejected(self):
         with pytest.raises(StructuralError, match="repeated row label 'A'"):
             DistanceMatrix.from_csv("label,A,B\nA,0,7\nA,0,1\nB,1,0\n")
+
+
+class TestReadMatrix:
+    def test_parse_error_names_the_file(self, tmp_path):
+        bad = tmp_path / "skewed.csv"
+        bad.write_text("label,A,B\nA,0,1\nB,3,0\n")
+        with pytest.raises(StructuralError, match=r"^skewed: asymmetry at \(A,B\)"):
+            read_matrix(bad)
+
+    def test_unreadable_file_names_the_path(self, tmp_path):
+        with pytest.raises(StructuralError, match=re.escape(f"cannot read {tmp_path}")):
+            read_matrix(tmp_path / "none.csv")
+
+    def test_only_the_string_dash_reads_stdin(self, trio_a, data_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-").write_text((data_dir / "trio_a.csv").read_text())
+        monkeypatch.setattr("sys.stdin", io.StringIO("label,x\nx,1\n"))
+        assert read_matrix(Path("-")) == trio_a
+        with pytest.raises(StructuralError, match="^stdin: nonzero diagonal"):
+            read_matrix("-")
 
 
 class TestValidate:

@@ -34,6 +34,7 @@ from clusternets.padic import (
     mat_inv,
     pval,
     reordering_norms,
+    require_prime,
 )
 
 import oracles
@@ -48,6 +49,12 @@ CASES = [(2, 2, Q22), (3, 2, Q32), (2, 3, Q23)]
 
 def diag_norm(p, q):
     return NormSpec(p, tuple(q), identity_matrix(len(q)))
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
+def test_require_prime_rejects_non_primes(p):
+    with pytest.raises(StructuralError, match=f"p must be prime, got {p}"):
+        require_prime(p)
 
 
 small_fractions = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=9)

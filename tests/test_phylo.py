@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -169,6 +170,21 @@ class TestGrid:
     def test_zero_resolution_rejected(self):
         with pytest.raises(StructuralError):
             SweepGrid.simplex(2, 0)
+
+    @pytest.mark.parametrize("n_markers", [0, -1])
+    def test_simplex_without_markers_rejected(self, n_markers):
+        with pytest.raises(StructuralError, match="at least one marker"):
+            SweepGrid.simplex(n_markers, 2)
+
+    @pytest.mark.parametrize("n_markers", range(1, 5))
+    @pytest.mark.parametrize("resolution", range(1, 6))
+    def test_simplex_is_every_composition(self, n_markers, resolution):
+        compositions = [
+            k for k in itertools.product(range(resolution + 1), repeat=n_markers)
+            if sum(k) == resolution
+        ]
+        expected = sorted(tuple(F(x, resolution) for x in k) for k in compositions)
+        assert SweepGrid.simplex(n_markers, resolution).weights == tuple(expected)
 
 
 class TestSweep:
