@@ -17,19 +17,10 @@ import time
 from pathlib import Path
 
 from .dendrogram import build_dendrogram
-from .errors import StructuralError
-from .metric import as_fraction, matrix_name, read_matrix
+from .errors import StructuralError, reason
+from .metric import matrix_name, read_matrix
 from .network import ClusterNetwork, merge_dendrograms, subfamily, to_dot, to_json
-from .padic import (
-    Lattice,
-    NormSpec,
-    ball_network,
-    default_weights,
-    identity_matrix,
-    intermediary_balls,
-    require_prime,
-    verify_correspondence,
-)
+from .padic import ball_network, default_weights, norm_weights, verify_correspondence
 from .phylo import load_marker_bundle, load_sweep_spec, sweep
 from .simplicial import (
     build_complex,
@@ -66,7 +57,7 @@ def _write_file(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise StructuralError(f"cannot write {path}: {exc}") from None
+        raise StructuralError(f"cannot write {path}: {reason(exc)}") from None
 
 
 def _parse_subfamily(arg: str | None, net: ClusterNetwork) -> frozenset[str]:
@@ -76,13 +67,6 @@ def _parse_subfamily(arg: str | None, net: ClusterNetwork) -> frozenset[str]:
         return subfamily(net, {x for x in arg.split(",") if x})
     except (ValueError, LookupError) as exc:
         raise StructuralError(f"{exc}; available: {sorted(net.metric_ids)}") from None
-
-
-def _parse_weights(arg: str, d: int) -> tuple:
-    q = tuple(as_fraction(x) for x in arg.split(","))
-    if len(q) != d:
-        raise StructuralError(f"got {len(q)} weights for dimension {d}")
-    return q
 
 
 def cmd_network(args) -> str:
@@ -107,53 +91,26 @@ def cmd_dimension(args) -> str:
 
 
 def cmd_padic_verify(args) -> str:
-    require_prime(args.p)
-    if args.d < 1:
-        raise StructuralError(f"dimension must be positive, got {args.d}")
     if args.precision < 1:
         raise StructuralError(f"precision must be at least 1, got {args.precision}")
     if args.window < 0:
         raise StructuralError(f"window must be at least 0, got {args.window}")
-    if args.q is None:
-        q = default_weights(args.p, args.d)
-    else:
-        q = _parse_weights(args.q, args.d)
-    for x in q:
-        if not (0 < x <= 1) or x * args.p <= 1:
-            hint = "" if args.q else "; the default weights need d < p^2, so pass --q"
-            raise StructuralError(f"weight {x} outside (1/{args.p}, 1]{hint}")
-    if len(set(q)) == len(q):
-        ordered = tuple(sorted(q))
-        if ordered != tuple(q):
-            raise StructuralError(
-                "weights must be strictly increasing; try "
-                + ",".join(str(x) for x in ordered)
-            )
-        report = verify_correspondence(args.p, args.d, q)
-    else:
-        # repeated weights: report the shortened ball chain of the diagonal
-        # norm instead of the bijection check
-        norm = NormSpec(args.p, tuple(q), identity_matrix(args.d))
-        chain = intermediary_balls(norm, Lattice.standard(args.p, args.d))
-        report = {
-            "parameters": {"p": args.p, "d": args.d, "q": [str(x) for x in q]},
-            "degenerate_parameters": True,
-            "ball_count": len(chain.lattices),
-            "full_chain_length": args.d + 1,
-            "balls": [lat.describe() for lat in chain.lattices],
-            "note": "repeated weights: the maximal ball chain is shorter "
-            "than d+1 and defines no top-dimensional simplex",
-        }
+    weights = default_weights(args.p, args.d) if args.q is None else args.q.split(",")
+    try:
+        q = norm_weights(args.p, args.d, weights)
+    except StructuralError as exc:
+        if args.q is None and str(exc).startswith("weight "):  # a default out of (1/p, 1]
+            raise StructuralError(f"{exc}; the default weights need d < p^2, so pass --q") from None
+        raise
+    report = verify_correspondence(args.p, args.d, q)
     report["parameters"]["precision"] = args.precision
-    report.setdefault("degenerate_parameters", False)
     if args.window:
-        net = ball_network(args.p, args.d, sorted(q), window=args.window)
-        dim = network_dimension(net, frozenset(net.metric_ids))
+        net = ball_network(args.p, args.d, q, window=args.window)
         report["sampled_network"] = {
             "window": args.window,
             "points": len(net.labels),
             "metrics": len(net.metric_ids),
-            "dimension": dim.overall,
+            "dimension": network_dimension(net, frozenset(net.metric_ids)).overall,
         }
     return _dump(report)
 
@@ -242,6 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
+        if args.emit_meta == "-":
+            raise StructuralError("--emit-meta needs a file path; - is not one")
         payload = args.func(args)
         if args.emit_meta:
             meta = {"tool": "clusternets", "argv": argv, "unix_time": time.time()}

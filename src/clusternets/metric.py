@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .errors import StructuralError
+from .errors import StructuralError, reason
 
 Rational = Fraction | int | str
 _ZERO = Fraction(0)
@@ -255,7 +255,7 @@ def read_matrix(path: str | Path) -> DistanceMatrix:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
         text.encode()  # stdin may pass undecodable bytes on as surrogates
     except (OSError, UnicodeError) as exc:
-        raise StructuralError(f"cannot read {path}: {exc}") from None
+        raise StructuralError(f"cannot read {path}: {reason(exc)}") from None
     try:
         return DistanceMatrix.from_csv(text)
     except StructuralError as exc:

@@ -23,6 +23,10 @@ complete flags by inclusion of these sets, and the adapted basis of a chain
 is read off the same residue spans L_j/pL. A chain becomes a norm on
 integers too: `mat_inv` inverts the frame fraction-free (Bareiss), building
 one Fraction per entry.
+
+`norm_weights` is the one weight rule (p prime, d >= 1, d weights in (1/p, 1]);
+every function here that takes weights reads them through it, and a chain's
+weights must also strictly increase (`_require_increasing`).
 """
 
 from __future__ import annotations
@@ -46,6 +50,27 @@ Matrix = tuple[Vector, ...]
 def require_prime(p: int) -> None:
     if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
         raise StructuralError(f"p must be prime, got {p}")
+
+
+def norm_weights(p: int, d: int, q: Iterable) -> tuple[Fraction, ...]:
+    """The weights of a norm on Q_p^d: p prime, d >= 1, d rationals in (1/p, 1]."""
+    require_prime(p)
+    if d < 1:
+        raise StructuralError(f"dimension must be positive, got {d}")
+    qs = tuple(as_fraction(x) for x in q)
+    if len(qs) != d:
+        raise StructuralError(f"got {len(qs)} weights for dimension {d}")
+    for x in qs:
+        if not Fraction(1, p) < x <= 1:
+            raise StructuralError(f"weight {x} outside (1/{p}, 1]")
+    return qs
+
+
+def _require_increasing(qs: Sequence[Fraction]) -> None:
+    """A chain's weights strictly increase; distinct ones out of order get a hint."""
+    if any(b <= a for a, b in zip(qs, qs[1:])):
+        hint = "; try " + ",".join(map(str, sorted(qs))) if len(set(qs)) == len(qs) else ""
+        raise StructuralError(f"weights must strictly increase{hint}")
 
 
 def pval(x: Fraction | int, p: int) -> int:
@@ -358,14 +383,12 @@ def lattices_between(lattice: Lattice) -> list[Lattice]:
     return [_lift_subspace(lattice, s) for s in enumerate_subspaces(lattice.p, lattice.dimension)]
 
 
-def is_adjacent(first: Lattice | LatticeClass, second: Lattice | LatticeClass) -> bool:
+def is_adjacent(first: Lattice, second: Lattice) -> bool:
     """Building adjacency: some rescaling of one strictly between p.other and other."""
-    a = first if isinstance(first, LatticeClass) else LatticeClass.of(first)
-    b = second if isinstance(second, LatticeClass) else LatticeClass.of(second)
-    ra, rb = a.representative, b.representative
+    ra, rb = LatticeClass.of(first).representative, LatticeClass.of(second).representative
     if ra.p != rb.p or ra.dimension != rb.dimension:
         raise StructuralError("lattices live in different spaces")
-    if a == b:
+    if ra == rb:
         return False
     d = ra.dimension
     gap = ra.index_valuation() - rb.index_valuation()
@@ -426,12 +449,7 @@ class NormSpec:
     heaviest_first: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        require_prime(self.p)
-        if not self.q:
-            raise StructuralError("empty weight list")
-        for qi in self.q:
-            if not Fraction(1, self.p) < qi <= 1:
-                raise StructuralError(f"weight {qi} outside (1/{self.p}, 1]")
+        object.__setattr__(self, "q", norm_weights(self.p, len(self.q), self.q))
         d = len(self.q)
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise StructuralError("frame matrix shape does not match weights")
@@ -594,19 +612,17 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
 def norm_from_chain(chain: LatticeChain, q: Sequence) -> NormSpec:
     """Norm taking value q_j on L_j \\ L_(j-1); its ball chain through the
     top lattice reproduces the input chain."""
-    qs = tuple(as_fraction(x) for x in q)
     top = chain.top
-    if len(qs) != top.dimension:
-        raise ValueError(f"{len(qs)} weights for dimension {top.dimension}")
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise ValueError(f"weights must strictly increase, got {[str(x) for x in qs]}")
+    qs = norm_weights(top.p, top.dimension, q)
+    _require_increasing(qs)
     fs = basis_from_chain(chain)
     frame = tuple(tuple(fs[j][i] for j in range(top.dimension)) for i in range(top.dimension))
     return NormSpec(top.p, qs, mat_inv(frame), inverse=frame)
 
 
 def default_weights(p: int, d: int) -> tuple[Fraction, ...]:
-    """A generic strictly increasing weight vector in (1/p, 1]."""
+    """(p+i)/(p+d) for i = 1..d: strictly increasing, in (1/p, 1] only for d < p^2."""
+    require_prime(p)
     return tuple(Fraction(p + i, p + d) for i in range(1, d + 1))
 
 
@@ -616,34 +632,36 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
     Every maximal lattice chain through the standard lattice is turned
     into a norm and read back into a ball chain; the round trip must be
     the identity, distinct chains must stay distinct, and the chain count
-    must equal the complete-flag count.
+    must equal the complete-flag count. Repeated weights give the degenerate
+    report instead: the shortened ball chain of the diagonal norm.
     """
-    require_prime(p)
-    qs = tuple(as_fraction(x) for x in q)
-    if len(qs) != d:
-        raise ValueError(f"{len(qs)} weights for dimension {d}")
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise ValueError("weights must strictly increase")
+    qs = norm_weights(p, d, q)
     lattice = Lattice.standard(p, d)
+    parameters = {"p": p, "d": d, "q": [str(x) for x in qs]}
+    if len(set(qs)) < d:
+        chain = intermediary_balls(NormSpec(p, qs, identity_matrix(d)), lattice)
+        return {
+            "parameters": parameters,
+            "degenerate_parameters": True,
+            "ball_count": len(chain.lattices),
+            "full_chain_length": d + 1,
+            "balls": [lat.describe() for lat in chain.lattices],
+            "note": "repeated weights: the maximal ball chain is shorter "
+            "than d+1 and defines no top-dimensional simplex",
+        }
+    _require_increasing(qs)
     chains = maximal_chains(lattice)
     expected = flag_count(p, d)
-    results = []
-    passed = 0
+    results, passed = [], 0
     for idx, chain in enumerate(chains):
-        norm = norm_from_chain(chain, qs)
-        recovered = intermediary_balls(norm, lattice)
-        ok = recovered.lattices == chain.lattices
+        ok = intermediary_balls(norm_from_chain(chain, qs), lattice).lattices == chain.lattices
         passed += ok
-        results.append(
-            {
-                "index": idx,
-                "lattices": [lat.describe() for lat in chain.lattices],
-                "round_trip_ok": ok,
-            }
-        )
+        lattices = [lat.describe() for lat in chain.lattices]
+        results.append({"index": idx, "lattices": lattices, "round_trip_ok": ok})
     distinct = len({tuple(c.lattices) for c in chains}) == len(chains)
     return {
-        "parameters": {"p": p, "d": d, "q": [str(x) for x in qs]},
+        "parameters": parameters,
+        "degenerate_parameters": False,
         "flag_count": expected,
         "chain_count": len(chains),
         "round_trips_passed": passed,
@@ -743,12 +761,9 @@ def ball_network(p: int, d: int, q: Sequence, window: int = 2) -> ClusterNetwork
     orderings differ already at the pair (0, e_i), so every window
     separates the norms.
     """
-    require_prime(p)
-    qs = tuple(as_fraction(x) for x in q)
-    if len(qs) != d:
-        raise ValueError(f"{len(qs)} weights for dimension {d}")
+    qs = norm_weights(p, d, q)
     if window < 1:
-        raise ValueError("window must be at least 1")
+        raise StructuralError(f"window must be at least 1, got {window}")
     labeled = _point_labels(p, window, d)
     labels = [name for name, _ in labeled]
     norms = reordering_norms(p, qs)

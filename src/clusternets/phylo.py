@@ -19,7 +19,7 @@ from operator import add
 from pathlib import Path
 
 from .dendrogram import Dendrogram, build_dendrogram
-from .errors import StructuralError
+from .errors import StructuralError, reason
 from .metric import DistanceMatrix, as_fraction, read_matrix
 from .network import ClusterNetwork, merge_dendrograms
 
@@ -162,7 +162,7 @@ def load_marker_bundle(manifest_path: str | Path) -> MarkerSet:
     try:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
-        raise StructuralError(f"cannot read manifest {manifest_path}: {exc}") from None
+        raise StructuralError(f"cannot read manifest {manifest_path}: {reason(exc)}") from None
     entries = manifest.get("markers") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
         raise StructuralError("manifest must list at least one marker")
@@ -182,7 +182,7 @@ def load_sweep_spec(spec_path: str | Path, n_markers: int) -> SweepGrid:
     try:
         spec = json.loads(spec_path.read_text(), parse_float=as_fraction, parse_int=as_fraction)
     except (OSError, ValueError) as exc:  # also bad UTF-8 and as_fraction's StructuralError
-        raise StructuralError(f"cannot read sweep spec {spec_path}: {exc}") from None
+        raise StructuralError(f"cannot read sweep spec {spec_path}: {reason(exc)}") from None
     grid = spec.get("grid") if isinstance(spec, dict) else None
     if not isinstance(grid, dict) or "type" not in grid:
         raise StructuralError('sweep spec must contain {"grid": {"type": ...}}')

@@ -14,6 +14,7 @@ from jsonschema import Draft202012Validator
 
 import clusternets
 from clusternets.cli import main
+from clusternets.padic import verify_correspondence
 
 SCHEMAS = Path(clusternets.__file__).parent / "schemas"
 
@@ -248,6 +249,16 @@ class TestPadicVerify:
         schema("padic_verify.schema.json").validate(doc)
         assert doc["degenerate_parameters"]
         assert doc["ball_count"] == 2 < doc["full_chain_length"]
+
+    def test_library_degenerate_report_is_the_cli_payload(self, capsys):
+        report = verify_correspondence(2, 2, ("4/5", "4/5"))
+        assert report["degenerate_parameters"] and report["ball_count"] == 2
+        assert not verify_correspondence(2, 2, ("3/5", "4/5"))["degenerate_parameters"]
+        report["parameters"]["precision"] = 8
+        code, out, _ = run(
+            ["padic-verify", "--p", "2", "--d", "2", "--q", "4/5,4/5"], capsys
+        )
+        assert code == 0 and json.loads(out) == report
 
     def test_window_reports_sampled_dimension(self, capsys):
         code, out, _ = run(
@@ -552,6 +563,32 @@ class TestDeterminismAndMeta:
         assert error["kind"] == "input" and str(target) in error["message"]
         assert not target.parent.exists()
 
+    def test_meta_to_dash_exit_2_writes_nothing(self, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["cluster", str(data_dir / "trio_a.csv"), "--emit-meta", "-", "--out", "-"]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out and err.count("\n") == 1
+        assert "--emit-meta" in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["cluster", "no/such.csv"], "no/such.csv"),
+            (["phylo-sweep", "no/manifest.json", "no/sweep.json"], "no/manifest.json"),
+            (["phylo-sweep", "{markers}/manifest.json", "no/sweep.json"], "no/sweep.json"),
+            (["cluster", "{data}/trio_a.csv", "--out", "no/net.json"], "no/net.json"),
+        ],
+        ids=["matrix", "manifest", "sweep-spec", "out"],
+    )
+    def test_unusable_path_named_once(self, argv, path, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = [a.format(data=data_dir, markers=data_dir / "markers") for a in argv]
+        code, out, err = run(argv, capsys)
+        message = json.loads(err)["error"]["message"]
+        assert code == 2 and not out
+        assert message.startswith("cannot ") and message.count(path) == 1, message
+
     def test_unwritable_out_leaves_no_meta_file(self, data_dir, tmp_path, capsys):
         out, meta = tmp_path / "missing" / "net.json", tmp_path / "meta.json"
         argv = ["cluster", str(data_dir / "trio_a.csv"), "--out", str(out)]
@@ -592,9 +629,9 @@ def matrix_csv(draw):
     return "\n".join(lines) + "\n"
 
 
-def run_quietly(argv) -> int:
-    """Run the CLI on argv; assert it exits 0 with a payload, or 2 with one
-    JSON line on stderr."""
+def run_quietly(argv, key: str = "labels") -> int:
+    """Run the CLI on argv; assert it exits 0 with a payload holding key, or
+    2 with one JSON line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -603,7 +640,7 @@ def run_quietly(argv) -> int:
         assert err.getvalue().count("\n") == 1
         assert json.loads(err.getvalue())["error"]["code"] == code == 2
     else:
-        assert code == 0 and json.loads(out.getvalue())["labels"]
+        assert code == 0 and json.loads(out.getvalue())[key]
     return code
 
 
@@ -625,3 +662,18 @@ def test_phylo_sweep_fuzz_exits_0_or_2(first, second):
         (bundle / "manifest.json").write_text(json.dumps(markers))
         (bundle / "sweep.json").write_text('{"grid": {"type": "simplex", "resolution": 2}}')
         run_quietly(["phylo-sweep", str(bundle / "manifest.json"), str(bundle / "sweep.json")])
+
+
+WEIGHT_LITERALS = ["1/2", "3/5", "2/3", "3/4", "4/5", "7/8", "1", "0", "-1", "5/4", "1/0", "x", ""]
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(-1, 3),
+    st.sampled_from([-1, 0, 1]),
+    st.one_of(st.none(), st.lists(st.sampled_from(WEIGHT_LITERALS), max_size=4).map(",".join)),
+)
+@settings(max_examples=100, deadline=None)
+def test_padic_verify_fuzz_exits_0_or_2(p, d, window, q):
+    argv = ["padic-verify", f"--p={p}", f"--d={d}", f"--window={window}"]
+    run_quietly(argv + ([] if q is None else [f"--q={q}"]), key="parameters")

@@ -32,6 +32,7 @@ from clusternets.padic import (
     default_weights,
     identity_matrix,
     mat_inv,
+    norm_weights,
     pval,
     reordering_norms,
     require_prime,
@@ -55,6 +56,57 @@ def diag_norm(p, q):
 def test_require_prime_rejects_non_primes(p):
     with pytest.raises(StructuralError, match=f"p must be prime, got {p}"):
         require_prime(p)
+
+
+class TestWeightRule:
+    def test_parses_literals(self):
+        assert norm_weights(3, 2, ["1/2", 1]) == (F(1, 2), F(1))
+        assert NormSpec(2, ("3/5", "4/5"), identity_matrix(2)).q == Q22
+
+    @pytest.mark.parametrize(
+        "p, d, q, message",
+        [
+            (4, 2, Q22, "p must be prime, got 4"),
+            (2, 0, (), "dimension must be positive, got 0"),
+            (2, 2, (F(3, 5),), "got 1 weights for dimension 2"),
+            (2, 2, (F(1, 2), F(4, 5)), r"weight 1/2 outside \(1/2, 1\]"),
+            (2, 2, (F(3, 5), F(5, 4)), r"weight 5/4 outside \(1/2, 1\]"),
+            (2, 2, ("3/5", "x"), "bad rational literal 'x'"),
+        ],
+    )
+    def test_faults(self, p, d, q, message):
+        with pytest.raises(StructuralError, match=message):
+            norm_weights(p, d, q)
+
+
+def _chain22():
+    return maximal_chains(Lattice.standard(2, 2))[0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: norm_from_chain(_chain22(), (F(3, 5),)), "got 1 weights for dimension 2"),
+        (lambda: norm_from_chain(_chain22(), Q22[::-1]), "strictly increase; try 3/5,4/5$"),
+        (lambda: norm_from_chain(_chain22(), (F(4, 5),) * 2), "strictly increase$"),
+        (lambda: verify_correspondence(2, 3, Q22), "got 2 weights for dimension 3"),
+        (lambda: verify_correspondence(2, 2, Q22[::-1]), "strictly increase; try 3/5,4/5$"),
+        (lambda: ball_network(2, 3, Q22, window=1), "got 2 weights for dimension 3"),
+        (lambda: ball_network(2, 2, Q22, window=0), "window must be at least 1, got 0"),
+    ],
+    ids=[
+        "norm_from_chain-count",
+        "norm_from_chain-unsorted",
+        "norm_from_chain-repeated",
+        "verify_correspondence-count",
+        "verify_correspondence-unsorted",
+        "ball_network-count",
+        "ball_network-window",
+    ],
+)
+def test_padic_argument_faults_raise_structural_error(call, message):
+    with pytest.raises(StructuralError, match=message):
+        call()
 
 
 small_fractions = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=9)
