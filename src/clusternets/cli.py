@@ -95,8 +95,8 @@ def cmd_padic_verify(args) -> str:
         raise StructuralError(f"precision must be at least 1, got {args.precision}")
     if args.window < 0:
         raise StructuralError(f"window must be at least 0, got {args.window}")
-    weights = default_weights(args.p, args.d) if args.q is None else args.q.split(",")
     try:
+        weights = default_weights(args.p, args.d) if args.q is None else args.q.split(",")
         q = norm_weights(args.p, args.d, weights)
     except StructuralError as exc:
         if args.q is None and str(exc).startswith("weight "):  # a default out of (1/p, 1]

@@ -26,15 +26,28 @@ one Fraction per entry.
 
 `norm_weights` is the one weight rule (p prime, d >= 1, d weights in (1/p, 1]);
 every function here that takes weights reads them through it, and a chain's
-weights must also strictly increase (`_require_increasing`).
+weights must also strictly increase (`_require_increasing`). Primality is
+deterministic Miller-Rabin, exact below `_PRIME_BOUND` (about 3.3e24).
+
+The maximal chains through L are the chambers at one vertex of the building
+and share their lattices: at (2,4), 315 chains have 67 distinct lattices and
+240 distinct cover pairs. `verify_correspondence` decides each shared thing
+once per run, in bounded `lru_cache`s that it clears when it starts: whether
+a (small, big) pair strictly increases (`_covers`), the residue span L_j/pL of
+each lattice (`_residue_span`), and the canonical form of each set of integer
+columns (`Lattice._canonical`). Per chain it still validates every pair
+(answered by the memo), picks f_j, compares the d+1 re-verification lattices
+with the chain's own, and compares the norm's ball chain with the chain; the
+ball lattices are the re-verification columns again, so their forms repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -47,8 +60,37 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
+# Miller-Rabin to the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """n odd and prime to a. With n - 1 = m.2^s, m odd: a^m = 1, or
+    a^(m.2^i) = -1 for some i < s (mod n)."""
+    m, s = n - 1, 0
+    while m % 2 == 0:
+        m, s = m // 2, s + 1
+    x = pow(a, m, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
 def require_prime(p: int) -> None:
-    if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+    """p must be prime, decided by Miller-Rabin to `_PRIME_BASES`; a p at
+    or above `_PRIME_BOUND`, where those bases stop being exact, is refused."""
+    if p in _PRIME_BASES:
+        return
+    if p >= _PRIME_BOUND:
+        raise StructuralError(f"p must be below {_PRIME_BOUND} to decide primality, got {p}")
+    if p < 2 or any(p % a == 0 or not _strong_probable_prime(p, a) for a in _PRIME_BASES):
         raise StructuralError(f"p must be prime, got {p}")
 
 
@@ -77,11 +119,7 @@ def pval(x: Fraction | int, p: int) -> int:
     """Exact p-adic valuation of a nonzero rational."""
     if x == 0:
         raise ValueError("valuation of zero is undefined")
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-    else:
-        num, den = x, 1
-    v = 0
+    num, den, v = x.numerator, x.denominator, 0
     while num % p == 0:
         num //= p
         v += 1
@@ -186,17 +224,23 @@ class Lattice:
 
     @classmethod
     def _hermite(cls, p: int, vecs: Sequence[tuple[Sequence[int], int]]) -> "Lattice":
-        """Canonical basis of the span of the vectors V / p^a, on integers.
-
-        With every vector over one scale, the columns span an integral
-        lattice M. Fraction-free elimination, pivoting on the least
-        valuation, makes them triangular with diagonal p^(v_t) times units.
-        M has index p^E in Z_p^d, E = sum of v_t, so p^E.e_t lies in M and
-        the columns, last to first, are normalised modulo p^E: each is
-        divided by its unit and reduced by the canonical columns after it.
-        """
+        """Canonical basis of the span of the vectors V / p^a, on integers."""
         scale = max(0, *(a for _, a in vecs))
         cols, scale = _strip(p, [[x * p ** (scale - a) for x in v] for v, a in vecs], scale)
+        return cls._canonical(p, tuple(map(tuple, cols)), scale)
+
+    @staticmethod
+    @lru_cache(maxsize=2048)
+    def _canonical(p: int, cols: tuple[tuple[int, ...], ...], scale: int) -> "Lattice":
+        """The span of the integer columns over p^scale, in canonical form.
+
+        The columns span an integral lattice M. Fraction-free elimination,
+        pivoting on the least valuation, makes them triangular with diagonal
+        p^(v_t) times units. M has index p^E in Z_p^d, E = sum of v_t, so
+        p^E.e_t lies in M and the columns, last to first, are normalised
+        modulo p^E: each is divided by its unit and reduced by the canonical
+        columns after it. A chain's ball lattices repeat these columns.
+        """
         d = len(cols[0])
         cols = [c for c in cols if any(c)]
         pivots = []
@@ -228,7 +272,7 @@ class Lattice:
                 if f:
                     c[i:] = [(x - f * y) % mod for x, y in zip(c[i:], out[i][i:])]
             out[t] = tuple(c)
-        return cls(p, tuple(out), scale, tuple(v - scale for v in exps))
+        return Lattice(p, tuple(out), scale, tuple(v - scale for v in exps))
 
     @classmethod
     def standard(cls, p: int, d: int) -> "Lattice":
@@ -308,9 +352,8 @@ class LatticeChain:
     def __post_init__(self):
         if len(self.lattices) < 2:
             raise StructuralError("chain needs at least two lattices")
-        for small, big in zip(self.lattices, self.lattices[1:]):
-            if small == big or not big.contains_lattice(small):
-                raise StructuralError("chain lattices must strictly increase")
+        if not all(map(_covers, self.lattices, self.lattices[1:])):
+            raise StructuralError("chain lattices must strictly increase")
         if self.lattices[0] != self.lattices[-1].dilate(1):
             raise StructuralError("chain must run from p.L up to L")
 
@@ -320,6 +363,12 @@ class LatticeChain:
 
     def is_maximal(self) -> bool:
         return len(self.lattices) == self.top.dimension + 1
+
+
+@lru_cache(maxsize=4096)
+def _covers(small: Lattice, big: Lattice) -> bool:
+    """small < big, strictly: decided once per pair while the pair is cached."""
+    return small != big and big.contains_lattice(small)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +461,8 @@ def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
     zero = frozenset({(0,) * d})
     by_dim: list[list] = [[] for _ in range(d + 1)]
     for rows in enumerate_subspaces(p, d):
-        by_dim[len(rows)].append((_span(p, zero, rows), _lift_subspace(lattice, rows)))
+        if 0 < len(rows) < d:  # every flag runs from 0 (p.L) to F_p^d (L)
+            by_dim[len(rows)].append((_span(p, zero, rows), _lift_subspace(lattice, rows)))
     flags = [(zero, ())]
     for level in by_dim[1:d]:
         flags = [(s, lifts + (lift,)) for prev, lifts in flags for s, lift in level if prev <= s]
@@ -575,16 +625,25 @@ def intermediary_balls(norm: NormSpec, lattice: Lattice) -> LatticeChain:
 # ---------------------------------------------------------------------------
 # chains -> bases -> norms
 
+@lru_cache(maxsize=1024)
+def _residue_span(top: Lattice, lat: Lattice) -> frozenset:
+    """lat/pT in T/pT = F_p^d for p.T <= lat <= T (T the top): the span of the
+    residues of lat's columns in T's coordinates. Chains share lattices."""
+    p, gens = top.p, (top._solve(col, lat.scale) for col in lat.cols)
+    return _span(p, {(0,) * top.dimension}, (tuple(x % p for x in g) for g in gens))
+
+
 def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
     """Pick f_j in L_j outside L_(j-1); the f_j form a basis adapted to the chain.
 
     The choice is canonical: in the coordinates of the top lattice, f_j
     lifts the lexicographically smallest vector of (L_j/pL) \\ (L_(j-1)/pL).
-    Each residue span L_j/pL is a point set, as in `maximal_chains`: `_span`
-    grows L_(j-1)/pL by the residues of L_j's columns.
+    Each residue span L_j/pL below L is a point set (`_residue_span`). L/pL
+    = F_p^d is never listed: f_d lifts the last unit vector outside the
+    hyperplane L_(d-1)/pL, as every vector before it lies in the hyperplane.
     The direct-sum decomposition
         L_j = Z_p f_1 + ... + Z_p f_j + p Z_p f_(j+1) + ... + p Z_p f_d
-    is re-verified by exact membership before returning.
+    is re-verified for this chain by exact membership before returning.
     """
     if not chain.is_maximal():
         raise ValueError(
@@ -593,13 +652,10 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
         )
     top = chain.top
     p, d = top.p, top.dimension
-    span, coords_fs = frozenset({(0,) * d}), []  # the residue span of L_0 = pL
-    for lat in chain.lattices[1:]:
-        gens = [top._solve(col, lat.scale) for col in lat.cols]
-        if None in gens:
-            raise StructuralError("chain lattice not contained in its top")
-        previous, span = span, _span(p, span, (tuple(x % p for x in g) for g in gens))
-        coords_fs.append(min(span - previous))
+    spans = [_residue_span(top, lat) for lat in chain.lattices[:-1]]
+    coords_fs = [min(big - small) for small, big in zip(spans, spans[1:])]
+    units = (tuple(int(i == k) for i in range(d)) for k in reversed(range(d)))
+    coords_fs.append(next(e for e in units if e not in spans[-1]))
     fs = [top._combine(w) for w in coords_fs]
     for j in range(d + 1):
         vectors = [(f if i < j else [x * p for x in f], top.scale) for i, f in enumerate(fs)]
@@ -621,8 +677,11 @@ def norm_from_chain(chain: LatticeChain, q: Sequence) -> NormSpec:
 
 
 def default_weights(p: int, d: int) -> tuple[Fraction, ...]:
-    """(p+i)/(p+d) for i = 1..d: strictly increasing, in (1/p, 1] only for d < p^2."""
+    """(p+i)/(p+d) for i = 1..d: strictly increasing, in (1/p, 1] only for d < p^2.
+    The least goes through `norm_weights` first, so d >= p^2 is refused at once."""
     require_prime(p)
+    if d > 0:
+        norm_weights(p, 1, [Fraction(p + 1, p + d)])
     return tuple(Fraction(p + i, p + d) for i in range(1, d + 1))
 
 
@@ -650,6 +709,8 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
             "than d+1 and defines no top-dimensional simplex",
         }
     _require_increasing(qs)
+    for memo in (_covers, _residue_span, Lattice._canonical):
+        memo.cache_clear()  # so each run decides each pair, span and form once
     chains = maximal_chains(lattice)
     expected = flag_count(p, d)
     results, passed = [], 0

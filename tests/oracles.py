@@ -8,8 +8,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import isqrt
 
 from clusternets.errors import StructuralError
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """n >= 2 with no divisor in [2, sqrt(n)]."""
+    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
 
 
 def minimax_path_distance(entries, a: int, b: int) -> Fraction:

@@ -4,6 +4,7 @@ import io
 import json
 import shutil
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -298,6 +299,26 @@ class TestPadicVerify:
         assert code == 2 and not out
         message = json.loads(err)["error"]["message"]
         assert "1/2 outside (1/2, 1]" in message and "--q" in message
+
+    def test_default_weights_refused_before_any_is_built(self, capsys):
+        # d >= p^2 is decided on the least default weight alone: a million
+        # weights are never built
+        start = time.perf_counter()
+        code, out, err = run(["padic-verify", "--p", "2", "--d", "1000000"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["message"] == (
+            "weight 1/333334 outside (1/2, 1]; the default weights need d < p^2, so pass --q"
+        )
+
+    def test_61_bit_prime_runs(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            ["padic-verify", "--p", "2305843009213693951", "--d", "1", "--q", "1"], capsys
+        )
+        assert time.perf_counter() - start < 1
+        doc = json.loads(out)
+        assert code == 0 and doc["all_passed"] and doc["chain_count"] == 1
 
     def test_precision_below_one_exit_2(self, capsys):
         for precision in ("0", "-5"):

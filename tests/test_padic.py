@@ -58,6 +58,48 @@ def test_require_prime_rejects_non_primes(p):
         require_prime(p)
 
 
+class TestPrimality:
+    def test_agrees_with_trial_division_below_10_5(self):
+        def accepted(n):
+            try:
+                require_prime(n)
+            except StructuralError:
+                return False
+            return True
+
+        judge = oracles.is_prime_by_trial_division
+        assert [n for n in range(-2, 10**5) if accepted(n) != judge(n)] == []
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3825123056546413051,  # strong pseudoprime to the bases 2..23
+            318665857834031151167461,  # strong pseudoprime to the bases 2..37
+            (2**61 - 1) * 1000003,
+        ],
+    )
+    def test_strong_pseudoprimes_to_the_first_bases_are_rejected(self, n):
+        with pytest.raises(StructuralError, match=f"p must be prime, got {n}"):
+            require_prime(n)
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59, 2**80 - 65])
+    def test_large_primes_below_the_bound_are_accepted(self, p):
+        require_prime(p)
+
+    @pytest.mark.parametrize("n", [padic._PRIME_BOUND, padic._PRIME_BOUND + 2, 2**89 - 1])
+    def test_at_or_above_the_bound_is_refused_and_names_it(self, n):
+        with pytest.raises(StructuralError, match=f"below {padic._PRIME_BOUND}.*got {n}"):
+            require_prime(n)
+
+    def test_small_bases_decide_without_a_power(self, monkeypatch):
+        def no_test(n, a):
+            raise AssertionError("Miller-Rabin round for a base prime")
+
+        monkeypatch.setattr(padic, "_strong_probable_prime", no_test)
+        for p in padic._PRIME_BASES:
+            require_prime(p)
+
+
 class TestWeightRule:
     def test_parses_literals(self):
         assert norm_weights(3, 2, ["1/2", 1]) == (F(1, 2), F(1))
@@ -456,6 +498,38 @@ def point_set(p, d, rows):
     )
 
 
+class TestOncePerRun:
+    @pytest.mark.parametrize(
+        "p, d, q, pairs", [(2, 3, Q23, 35), (2, 4, (F(9, 16), F(5, 8), F(3, 4), F(7, 8)), 240)]
+    )
+    def test_each_cover_pair_is_decided_once(self, monkeypatch, p, d, q, pairs):
+        decided = []
+        contains = Lattice.contains_lattice
+
+        def counted(big, small):
+            decided.append((small, big))
+            return contains(big, small)
+
+        monkeypatch.setattr(Lattice, "contains_lattice", counted)
+        report = verify_correspondence(p, d, q)
+        assert report["all_passed"] and report["chain_count"] == flag_count(p, d)
+        assert len(decided) == len(set(decided)) == pairs
+
+    def test_bad_chains_are_refused_after_a_run(self):
+        verify_correspondence(2, 3, Q23)  # every cover pair at (2, 3) is now decided
+        std = Lattice.standard(2, 3)
+        chains = maximal_chains(std)
+        bottom, line, plane, _ = chains[0].lattices
+        other = next(c.lattices[2] for c in chains if not c.lattices[2].contains_lattice(line))
+        for lattices in [
+            (bottom, line, line, plane, std),  # not increasing
+            (bottom, plane, line, std),  # decreasing
+            (bottom, line, other, std),  # not contained
+        ]:
+            with pytest.raises(StructuralError, match="chain lattices must strictly increase"):
+                LatticeChain(lattices)
+
+
 class TestCounting:
     @pytest.mark.parametrize("p,d,strict", [(2, 2, 3), (3, 2, 4), (2, 3, 14)])
     def test_lattices_between_counts(self, p, d, strict):
@@ -512,7 +586,9 @@ class TestCounting:
 
         monkeypatch.setattr(padic, "_lift_subspace", counted)
         assert len(maximal_chains(Lattice.standard(2, 4))) == 315
-        assert len(lifts) == len(set(lifts)) == 67
+        # the ends of every flag, 0 and F_2^4, are p.L and L: only the 65 between are lifted
+        inner = {s for s in enumerate_subspaces(2, 4) if 0 < len(s) < 4}
+        assert len(lifts) == len(set(lifts)) == len(inner) == 65 and set(lifts) == inner
 
     def test_chains_are_strict_and_wrap_one_dilation(self):
         for chain in maximal_chains(Lattice.standard(2, 3)):
