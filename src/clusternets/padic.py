@@ -21,8 +21,9 @@ A subspace of L/pL = F_p^d has one form: the frozenset of its points, int
 tuples over {0..p-1}, grown by `_span`. `maximal_chains` builds the
 complete flags by inclusion of these sets, and the adapted basis of a chain
 is read off the same residue spans L_j/pL. A chain becomes a norm on
-integers too: `mat_inv` inverts the frame fraction-free (Bareiss), building
-one Fraction per entry.
+integers too: `_inverse` (Bareiss) inverts the chain's integer basis into
+the frame, one Fraction per entry, and `NormSpec` inverts the frame's
+integer rows once, for its balls; it is the one matrix elimination here.
 
 `norm_weights` is the one weight rule (p prime, d >= 1, d weights in (1/p, 1]);
 every function here that takes weights reads them through it, and a chain's
@@ -132,18 +133,15 @@ def pval(x: Fraction | int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 
-def mat_inv(m: Matrix) -> Matrix:
-    """Inverse over Q, fraction-free. With each row of m cleared to ints over
-    its lcm denominator (m = D^-1 M), Gauss-Jordan elimination with exact
-    integer divisions (Bareiss, Math. Comp. 22, 1968) turns [M | I] into
-    [e.I | e.M^-1], e = ±det M (the sign of the row swaps), so
-    m^-1 = M^-1 D is one Fraction per entry."""
-    d = len(m)
-    aug, dens = [], []
-    for i, row in enumerate(m):
-        ints, den = _over_lcm(row)
-        aug.append(ints + [int(i == j) for j in range(d)])
-        dens.append(den)
+def _inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(Y, e) with rows^-1 = Y / e and e > 0, for a square integer matrix M.
+    Gauss-Jordan elimination with exact integer divisions (Bareiss, Math.
+    Comp. 22, 1968) turns [M | I] into [f.I | f.M^-1], f = ±det M (the sign
+    of the row swaps). e = |f|, so the inverse columns of a chain's norm are
+    positive multiples of its adapted basis, and its balls repeat the
+    canonical forms of the basis's re-verification lattices."""
+    d = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
     prev = 1
     for col in range(d):
         piv = next((r for r in range(col, d) if aug[r][col]), None)
@@ -157,7 +155,8 @@ def mat_inv(m: Matrix) -> Matrix:
                 f = aug[r][col]
                 aug[r] = [(pk * a - f * b) // prev for a, b in zip(aug[r], top)]
         prev = pk
-    return tuple(tuple(Fraction(row[d + j] * dens[j], prev) for j in range(d)) for row in aug)
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[d:]] for row in aug], sign * prev
 
 
 def identity_matrix(d: int) -> Matrix:
@@ -166,8 +165,9 @@ def identity_matrix(d: int) -> Matrix:
 
 def _over_lcm(vec: Sequence) -> tuple[list[int], int]:
     """vec as (V, D): V an integer vector, D the lcm of its denominators, vec = V / D.
-    Ints and Fractions are read as they are; anything else goes through Fraction."""
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    Ints and Fractions are read as they are; anything else goes through
+    `as_fraction`, which parses strings and refuses bools and floats."""
+    xs = [x if type(x) in (int, Fraction) else as_fraction(x) for x in vec]
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
 
@@ -477,20 +477,18 @@ def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
 class NormSpec:
     """Weighted max-norm N(z) = max_i q_i |(Az)_i|_p with q_i in (1/p, 1].
 
-    `inverse` is the frame A^-1. A caller that already holds it (a
-    chain's adapted basis) passes it, and A.inverse = I is checked;
-    otherwise it is computed, which rejects a singular A. Values are
-    decided on integers: `rows` is the integer matrix A.D, with D the lcm
-    of the denominators of A, `shift` is v_p(D), and `heaviest_first`
-    lists the rows by decreasing weight. Balls read `inverse_cols`: each
-    column of A^-1 as (V, a), V an integer vector, the column V / (p^a u)
-    for a unit u.
+    Values are decided on integers: `rows` is the integer matrix A.D, with
+    D the lcm of the denominators of A, `shift` is v_p(D), and
+    `heaviest_first` lists the rows by decreasing weight. The frame is
+    inverted once, on those ints (`_inverse`, which rejects a singular A):
+    rows^-1 = Y/e, so A^-1 = D.Y/e, and balls read `inverse_cols`, each
+    column of A^-1 as (Y_j, v_p(e) - shift), the column Y_j / (p^a u) for a
+    unit u.
     """
 
     p: int
     q: tuple[Fraction, ...]
     matrix: Matrix
-    inverse: Matrix | None = field(default=None, compare=False, repr=False)
     rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     inverse_cols: tuple[tuple[tuple[int, ...], int], ...] = field(
         init=False, compare=False, repr=False
@@ -505,22 +503,12 @@ class NormSpec:
             raise StructuralError("frame matrix shape does not match weights")
         flat, den = _over_lcm([x for row in self.matrix for x in row])
         rows = tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d))
+        inv, e = _inverse(rows)
+        shift = pval(den, self.p)
+        a = pval(e, self.p) - shift
         object.__setattr__(self, "rows", rows)
-        given = self.inverse is not None
-        if not given:
-            object.__setattr__(self, "inverse", mat_inv(self.matrix))  # raises if singular
-        # column j of the inverse as V_j / E_j, E_j the lcm of its denominators
-        cols = [(tuple(v), e) for v, e in map(_over_lcm, zip(*self.inverse))]
-        # (A.D)(V_j) = D.E_j.e_j, on the integer copies
-        if given and (
-            len(self.inverse) != d
-            or any(len(row) != d for row in self.inverse)
-            or [[sum(map(mul, row, v)) for v, _ in cols] for row in rows]
-            != [[den * e * (i == j) for j, (_, e) in enumerate(cols)] for i in range(d)]
-        ):
-            raise StructuralError("given inverse is not the inverse of the frame matrix")
-        object.__setattr__(self, "inverse_cols", tuple((v, pval(e, self.p)) for v, e in cols))
-        object.__setattr__(self, "shift", pval(den, self.p))
+        object.__setattr__(self, "inverse_cols", tuple((col, a) for col in zip(*inv)))
+        object.__setattr__(self, "shift", shift)
         object.__setattr__(
             self, "heaviest_first", tuple(sorted(range(d), key=lambda i: -self.q[i]))
         )
@@ -633,18 +621,9 @@ def _residue_span(top: Lattice, lat: Lattice) -> frozenset:
     return _span(p, {(0,) * top.dimension}, (tuple(x % p for x in g) for g in gens))
 
 
-def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
-    """Pick f_j in L_j outside L_(j-1); the f_j form a basis adapted to the chain.
-
-    The choice is canonical: in the coordinates of the top lattice, f_j
-    lifts the lexicographically smallest vector of (L_j/pL) \\ (L_(j-1)/pL).
-    Each residue span L_j/pL below L is a point set (`_residue_span`). L/pL
-    = F_p^d is never listed: f_d lifts the last unit vector outside the
-    hyperplane L_(d-1)/pL, as every vector before it lies in the hyperplane.
-    The direct-sum decomposition
-        L_j = Z_p f_1 + ... + Z_p f_j + p Z_p f_(j+1) + ... + p Z_p f_d
-    is re-verified for this chain by exact membership before returning.
-    """
+def _adapted_basis(chain: LatticeChain) -> list[list[int]]:
+    """The adapted basis of a maximal chain as integer vectors f_j over
+    p^scale of the top lattice; see `basis_from_chain`."""
     if not chain.is_maximal():
         raise ValueError(
             f"chain of {len(chain.lattices)} lattices is not maximal in dimension "
@@ -661,19 +640,37 @@ def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
         vectors = [(f if i < j else [x * p for x in f], top.scale) for i, f in enumerate(fs)]
         if Lattice._hermite(p, vectors) != chain.lattices[j]:
             raise AssertionError("adapted basis fails the chain decomposition")
-    s = p**top.scale
-    return tuple(tuple(Fraction(x, s) for x in f) for f in fs)
+    return fs
+
+
+def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
+    """Pick f_j in L_j outside L_(j-1); the f_j form a basis adapted to the chain.
+
+    The choice is canonical: in the coordinates of the top lattice, f_j
+    lifts the lexicographically smallest vector of (L_j/pL) \\ (L_(j-1)/pL).
+    Each residue span L_j/pL below L is a point set (`_residue_span`). L/pL
+    = F_p^d is never listed: f_d lifts the last unit vector outside the
+    hyperplane L_(d-1)/pL, as every vector before it lies in the hyperplane.
+    The direct-sum decomposition
+        L_j = Z_p f_1 + ... + Z_p f_j + p Z_p f_(j+1) + ... + p Z_p f_d
+    is re-verified for this chain by exact membership before returning.
+    """
+    s = chain.top.p ** chain.top.scale
+    return tuple(tuple(Fraction(x, s) for x in f) for f in _adapted_basis(chain))
 
 
 def norm_from_chain(chain: LatticeChain, q: Sequence) -> NormSpec:
     """Norm taking value q_j on L_j \\ L_(j-1); its ball chain through the
-    top lattice reproduces the input chain."""
+    top lattice reproduces the input chain.
+
+    Its frame A inverts the adapted basis F / p^scale, whose columns F_j are
+    integers: with F^-1 = Y / e (`_inverse`), A = p^scale . Y / e."""
     top = chain.top
     qs = norm_weights(top.p, top.dimension, q)
     _require_increasing(qs)
-    fs = basis_from_chain(chain)
-    frame = tuple(tuple(fs[j][i] for j in range(top.dimension)) for i in range(top.dimension))
-    return NormSpec(top.p, qs, mat_inv(frame), inverse=frame)
+    inv, e = _inverse(list(zip(*_adapted_basis(chain))))
+    s = top.p**top.scale
+    return NormSpec(top.p, qs, tuple(tuple(Fraction(s * y, e) for y in row) for row in inv))
 
 
 def default_weights(p: int, d: int) -> tuple[Fraction, ...]:
@@ -805,7 +802,7 @@ def _point_labels(p: int, window: int, d: int) -> list[tuple[str, tuple[int, ...
 
 def reordering_norms(p: int, q: Sequence) -> list[tuple[str, NormSpec]]:
     """One diagonal norm per distinct ordering of the weights."""
-    qs = tuple(as_fraction(x) for x in q)
+    qs = norm_weights(p, len(q), q)
     frame = identity_matrix(len(qs))
     return [
         ("A0.q" + "_".join(str(x) for x in perm), NormSpec(p, perm, frame))

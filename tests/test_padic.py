@@ -31,7 +31,6 @@ from clusternets.padic import (
     ball_radius_of,
     default_weights,
     identity_matrix,
-    mat_inv,
     norm_weights,
     pval,
     reordering_norms,
@@ -151,6 +150,35 @@ def test_padic_argument_faults_raise_structural_error(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (True, "refusing bool value True"),
+        (0.5, "refusing float value 0.5"),
+        (1e-300, "refusing float value 1e-300"),
+        ("abc", "bad rational literal 'abc'"),
+    ],
+    ids=["bool", "float", "tiny-float", "bad-string"],
+)
+def test_frame_and_basis_entries_follow_the_literal_rule(entry, message):
+    calls = (
+        lambda: NormSpec(2, Q22, ((entry, 0), (0, 1))),
+        lambda: Lattice.from_basis(2, [(entry, 0), (0, 1)]),
+        lambda: Lattice.standard(2, 2).contains_vector((entry, 0)),
+    )
+    for call in calls:
+        with pytest.raises(StructuralError, match=message):
+            call()
+
+
+def test_string_entries_are_read_as_rationals():
+    assert NormSpec(2, Q22, (("1/2", 0), (0, 1))).rows == ((1, 0), (0, 2))
+    half = Lattice.from_basis(2, [(F(1, 2), 0), (0, 1)])
+    assert Lattice.from_basis(2, [("1/2", 0), (0, "1")]) == half
+    assert Lattice.standard(2, 2).contains_vector(("2/3", 0))
+    assert not Lattice.standard(2, 2).contains_vector(("1/2", 0))
+
+
 small_fractions = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=9)
 
 
@@ -229,33 +257,39 @@ class TestNormKernelAgainstDefinition:
         assert norm.rows == ((4, 2), (3, 4)) and norm.shift == 2
         assert norm.distance((5, -3), (1, 1)) == oracles.norm_by_definition(norm, (4, -4))
 
-    def test_chain_norm_keeps_its_frame_as_inverse(self, monkeypatch):
+    def test_inverse_columns_are_the_frame_inverse_up_to_units(self):
+        for p, d in ((2, 2), (3, 2), (2, 3)):
+            for frame in oracle_frames(p, d):
+                norm = NormSpec(p, default_weights(p, d), frame)
+                want = oracles.inverse_by_definition(frame)
+                for j, (v, a) in enumerate(norm.inverse_cols):
+                    # V_j / p^a = u . (column j of A^-1), u a p-adic unit
+                    assert [x == 0 for x in v] == [w[j] == 0 for w in want], (frame, j)
+                    ratios = {x / F(p) ** a / w[j] for x, w in zip(v, want) if x}
+                    assert len(ratios) == 1 and pval(ratios.pop(), p) == 0, (frame, j)
+
+    def test_each_construction_inverts_once_on_ints(self, monkeypatch):
+        calls = []
+        invert = padic._inverse
+
+        def counted(rows):
+            calls.append(rows)
+            return invert(rows)
+
+        monkeypatch.setattr(padic, "_inverse", counted)
+        for frame in (identity_matrix(2), ((F(1), F(1, 2)), (F(3, 4), F(1)))):
+            calls.clear()
+            norm = NormSpec(2, Q22, frame)
+            assert calls == [norm.rows]
         chain = maximal_chains(Lattice.standard(2, 3))[5]
-        inverted = []
-        invert = padic.mat_inv
-
-        def counted(m):
-            inverted.append(m)
-            return invert(m)
-
-        monkeypatch.setattr(padic, "mat_inv", counted)
+        calls.clear()
         norm = norm_from_chain(chain, Q23)
-        assert len(inverted) == 1
-        assert norm.inverse == inverted[0] == invert(norm.matrix)
-
-    def test_given_inverse_is_checked(self):
-        frame = ((F(1), F(1)), (F(0), F(2)))
-        inverse = mat_inv(frame)
-        assert NormSpec(2, Q22, frame, inverse=inverse).inverse == inverse
-        wrong = ((F(1), F(-1)), (F(0), F(1, 2)))
-        for bad in (
-            wrong,
-            identity_matrix(2),
-            tuple(row + (F(0),) for row in inverse),
-            inverse + ((F(7), F(9)),),
-        ):
-            with pytest.raises(StructuralError, match="not the inverse"):
-                NormSpec(2, Q22, frame, inverse=bad)
+        fs = basis_from_chain(chain)
+        frame = tuple(tuple(f[i] for f in fs) for i in range(3))
+        # the integer adapted basis (scale 0 on the standard lattice), then the norm's rows
+        assert [tuple(map(tuple, rows)) for rows in calls] == [frame, norm.rows]
+        assert all(type(x) is int for rows in calls for row in rows for x in row)
+        assert norm.matrix == oracles.inverse_by_definition(frame)
 
 
 class TestBallOfRadius:
@@ -276,15 +310,16 @@ class TestBallOfRadius:
         with pytest.raises(ValueError):
             ball_of_radius(diag_norm(2, Q22), 0)
 
-    def test_reads_the_frame_inverse_kept_by_the_norm(self, monkeypatch):
-        n = NormSpec(2, Q22, ((F(1), F(1)), (F(0), F(1))))
-        assert n.inverse == mat_inv(n.matrix)
+    def test_balls_never_invert_the_frame(self, monkeypatch):
+        chain = maximal_chains(Lattice.standard(2, 3))[5]
+        norms = [NormSpec(2, Q22, ((F(1), F(1)), (F(0), F(1)))), norm_from_chain(chain, Q23)]
 
-        def no_inverse(m):
+        def no_inverse(rows):
             raise AssertionError("frame inverted again")
 
-        monkeypatch.setattr(padic, "mat_inv", no_inverse)
-        assert ball_of_radius(n, F(4, 5)).contains_vector((0, 1))
+        monkeypatch.setattr(padic, "_inverse", no_inverse)
+        assert ball_of_radius(norms[0], F(4, 5)).contains_vector((0, 1))
+        assert intermediary_balls(norms[1], chain.top) == chain
 
 
 class TestIntermediaryBalls:
@@ -638,7 +673,7 @@ def independent_decomposition_check(chain, fs):
     top = chain.top
     p, d = top.p, top.dimension
     frame = tuple(tuple(fs[j][i] for j in range(d)) for i in range(d))
-    inv = mat_inv(frame)
+    inv = oracles.inverse_by_definition(frame)
     for j, lat in enumerate(chain.lattices):
         for i, f in enumerate(fs):
             coords = mat_vec(inv, f)  # unit vector e_i
@@ -754,7 +789,16 @@ def random_square(rng, d, kind):
     return m
 
 
-class TestMatInvAgainstDefinition:
+def inverse_over_q(m):
+    """m^-1 through `padic._inverse`: each row cleared to ints over its lcm
+    denominator (m = D^-1 M), then m^-1 = M^-1 D = Y D / e."""
+    rows, dens = zip(*map(padic._over_lcm, m))
+    inv, e = padic._inverse(rows)
+    assert e > 0 and all(type(y) is int for row in inv for y in row), m
+    return tuple(tuple(F(y * den, e) for y, den in zip(row, dens)) for row in inv)
+
+
+class TestInverseAgainstDefinition:
     def test_matches_gauss_jordan_in_fractions(self):
         rng = random.Random(41)
         inverted = {"int": 0, "rational": 0, "zero_lead": 0}
@@ -767,19 +811,18 @@ class TestMatInvAgainstDefinition:
                 want = oracles.inverse_by_definition(m)
             except StructuralError:
                 with pytest.raises(StructuralError, match="singular matrix"):
-                    mat_inv(m)
+                    inverse_over_q(m)
                 singular += 1
                 continue
             assert kind != "singular", m
-            got = mat_inv(m)
-            assert got == want, m
-            assert all(type(x) is F for row in got for x in row)
+            assert inverse_over_q(m) == want, m
             inverted[kind] += 1
         assert min(inverted.values()) > 50 and singular > 100, (inverted, singular)
 
     def test_string_entries(self):
         m = (("1/2", "3"), (F(0), 4))
-        assert mat_inv(m) == oracles.inverse_by_definition(m) == ((F(2), F(-3, 2)), (F(0), F(1, 4)))
+        want = ((F(2), F(-3, 2)), (F(0), F(1, 4)))
+        assert inverse_over_q(m) == oracles.inverse_by_definition(m) == want
 
 
 def _det(m):
