@@ -2,7 +2,9 @@
 
 Subcommands: cluster, network, complex, dimension, padic-verify,
 phylo-sweep. Output is deterministic (canonical ordering everywhere, no
-timestamps in the payload); run metadata can be emitted to a side file with
+timestamps in the payload), and every JSON payload is written by
+`network.PayloadEncoder`, byte-identical to `json.dumps(indent=2,
+sort_keys=True)`. Run metadata can be emitted to a side file with
 --emit-meta, left only beside a run that exits 0. Exit codes: 0 success, 2
 bad input (a `StructuralError`, the one exception mapped to 2), 3 internal
 invariant violation. Errors go to stderr as one-line JSON.
@@ -19,7 +21,7 @@ from pathlib import Path
 from .dendrogram import build_dendrogram
 from .errors import StructuralError, reason
 from .metric import matrix_name, read_matrix
-from .network import ClusterNetwork, merge_dendrograms, subfamily, to_dot, to_json
+from .network import ClusterNetwork, PayloadEncoder, merge_dendrograms, subfamily, to_dot, to_json
 from .padic import ball_network, default_weights, norm_weights, verify_correspondence
 from .phylo import load_marker_bundle, load_sweep_spec, sweep
 from .simplicial import (
@@ -50,7 +52,7 @@ def _network_from_paths(paths: list[str]) -> ClusterNetwork:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, cls=PayloadEncoder) + "\n"
 
 
 def _write_file(path: str, text: str) -> None:

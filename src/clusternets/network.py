@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from .dendrogram import Dendrogram, mask_members
 from .errors import StructuralError
@@ -278,8 +279,47 @@ def to_json_dict(net: ClusterNetwork) -> dict:
     }
 
 
+class PayloadEncoder(json.JSONEncoder):
+    """`json.JSONEncoder`'s bytes for str keys and str, int, bool, None, list,
+    tuple and dict values, one string per container. A dict met twice at one
+    depth keeps its text for later copies there: producers may share dicts."""
+
+    def encode(self, o) -> str:
+        if self.indent is None:
+            return super().encode(o)
+        step = " " * self.indent if isinstance(self.indent, int) else self.indent
+        seen, texts, made = set(), {}, []  # `made` keeps what `default` returns alive: ids stay unique
+
+        def enc(o, pad: str) -> str:  # pad: a newline and this depth's indentation
+            if isinstance(o, str):
+                return encode_basestring_ascii(o)
+            if o is None or o is True or o is False:
+                return "null" if o is None else "true" if o else "false"
+            if isinstance(o, int):
+                return int.__repr__(o)
+            inner, sep = pad + step, "," + pad + step
+            if isinstance(o, (list, tuple)):
+                return "[" + inner + sep.join([enc(x, inner) for x in o]) + pad + "]" if o else "[]"
+            if not isinstance(o, dict):
+                made.append(self.default(o))
+                return enc(made[-1], pad)
+            key = (id(o), len(pad))
+            if key in texts:
+                return texts[key]
+            items = sorted(o.items()) if self.sort_keys else o.items()
+            # a generator, so no list of the values' texts outlives the join
+            body = (encode_basestring_ascii(k) + ": " + enc(v, inner) for k, v in items)
+            text = "{" + inner + sep.join(body) + pad + "}" if o else "{}"
+            if key in seen:
+                texts[key] = text
+            seen.add(key)
+            return text
+
+        return enc(o, "\n")
+
+
 def to_json(net: ClusterNetwork) -> str:
-    return json.dumps(to_json_dict(net), indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_json_dict(net), indent=2, sort_keys=True, cls=PayloadEncoder) + "\n"
 
 
 _DOT_STYLES = ("solid", "dashed", "dotted", "bold")

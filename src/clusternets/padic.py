@@ -689,7 +689,9 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
     into a norm and read back into a ball chain; the round trip must be
     the identity, distinct chains must stay distinct, and the chain count
     must equal the complete-flag count. Repeated weights give the degenerate
-    report instead: the shortened ball chain of the diagonal norm.
+    report instead: the shortened ball chain of the diagonal norm. Each
+    distinct lattice is described once, and every chain that holds it holds
+    that one dict, so the report is read-only.
     """
     qs = norm_weights(p, d, q)
     lattice = Lattice.standard(p, d)
@@ -710,11 +712,12 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
         memo.cache_clear()  # so each run decides each pair, span and form once
     chains = maximal_chains(lattice)
     expected = flag_count(p, d)
+    described = {lat: lat.describe() for lat in {lat for c in chains for lat in c.lattices}}
     results, passed = [], 0
     for idx, chain in enumerate(chains):
         ok = intermediary_balls(norm_from_chain(chain, qs), lattice).lattices == chain.lattices
         passed += ok
-        lattices = [lat.describe() for lat in chain.lattices]
+        lattices = [described[lat] for lat in chain.lattices]
         results.append({"index": idx, "lattices": lattices, "round_trip_ok": ok})
     distinct = len({tuple(c.lattices) for c in chains}) == len(chains)
     return {

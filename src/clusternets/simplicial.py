@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .dendrogram import mask_members
-from .network import ClusterNetwork, chain_to_superball, subfamily
+from .network import ClusterNetwork, NetworkVertex, chain_to_superball, subfamily
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,20 @@ def check_compatibility(net: ClusterNetwork) -> CompatibilityReport:
     For each pair of clusters from different metrics with a nonempty
     intersection, the intersection must equal the member set of some vertex
     (a ball of some metric in the family). Violations list both clusters and
-    the orphaned intersection.
+    the orphaned intersection. Each cluster is one {"id", "members"} dict,
+    built once and shared by every violation that names it, so the report
+    is read-only.
     """
     member_sets = {v.members for v in net.vertices}
-    violations = []
+    violations, balls = [], {}
 
     def names(mask: int) -> list[str]:
         return [net.labels[i] for i in mask_members(mask)]
+
+    def ball(v: NetworkVertex) -> dict:
+        if v.vertex_id not in balls:
+            balls[v.vertex_id] = {"id": v.vertex_id, "members": names(v.members)}
+        return balls[v.vertex_id]
 
     for a, b in combinations(net.vertices, 2):
         if a.present_in & b.present_in:
@@ -93,13 +100,7 @@ def check_compatibility(net: ClusterNetwork) -> CompatibilityReport:
         inter = a.members & b.members
         if inter == 0 or inter in member_sets:
             continue
-        violations.append(
-            {
-                "first": {"id": a.vertex_id, "members": names(a.members)},
-                "second": {"id": b.vertex_id, "members": names(b.members)},
-                "intersection": names(inter),
-            }
-        )
+        violations.append({"first": ball(a), "second": ball(b), "intersection": names(inter)})
     return CompatibilityReport(not violations, tuple(violations))
 
 
@@ -151,8 +152,7 @@ def dimension_json_dict(report: DimensionReport, compatibility: CompatibilityRep
         },
     }
     if not compatibility.compatible:
-        violations = [dict(v) for v in compatibility.violations]
-        out["warnings"] = {"incompatible_intersections": violations}
+        out["warnings"] = {"incompatible_intersections": list(compatibility.violations)}
     return out
 
 

@@ -520,6 +520,25 @@ def test_golden_payload_hashes(argv, data_dir, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("network", "incompat_1.csv", "incompat_2.csv"),
+        ("phylo-sweep", "markers/manifest.json", "markers/sweep_units.json"),
+        ("dimension", "random32/m1.csv", "random32/m2.csv"),
+        ("complex", "incompat_1.csv", "incompat_2.csv"),
+        ("padic-verify", "--p", "2", "--d", "2", "--q", "3/5,4/5", "--window", "2"),
+    ],
+    ids=" ".join,
+)
+def test_payloads_bypass_the_stdlib_indented_encoder(argv, data_dir, tmp_path, capsys):
+    """Each payload site writes through `PayloadEncoder`: with the stdlib's
+    indented (pure-Python) encoder switched off, the GOLDEN bytes still come out."""
+    off = AssertionError("the stdlib's indented encoder ran")
+    with mock.patch("json.encoder._make_iterencode", side_effect=off):
+        test_golden_payload_hashes(argv, data_dir, tmp_path, capsys)
+
+
 class TestDeterminismAndMeta:
     def test_out_files_byte_identical_across_runs(self, data_dir, tmp_path, capsys):
         markers = data_dir / "markers"

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusternets import (
     ClusterNetwork,
@@ -16,6 +19,7 @@ from clusternets import (
     undirected_cycles,
 )
 from clusternets.dendrogram import mask_of
+from clusternets.network import PayloadEncoder
 
 from conftest import vertex_by_members
 
@@ -285,8 +289,6 @@ class TestCycles:
 
 class TestSerialization:
     def test_json_shape(self, net_c1):
-        import json
-
         net, _ = net_c1
         doc = json.loads(to_json(net))
         assert set(doc) == {"labels", "vertices", "edges"}
@@ -306,3 +308,60 @@ class TestSerialization:
         net, _ = net_c1
         assert to_json(net) == to_json(net)
         assert to_dot(net) == to_dot(net)
+
+
+def payload(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, cls=PayloadEncoder)
+
+
+def stdlib(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+texts = st.text(st.characters(codec="utf-8") | st.sampled_from("\x00\x1f\x7f\"\\\u2028"), max_size=6)
+leaves = st.none() | st.booleans() | st.integers(-1000, 1000) | st.integers(-10**40, 10**40) | texts
+documents = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def aliased(shared: dict, other) -> dict:
+    """`shared` at depths 1 to 4, several times per depth, and inside lists."""
+    outer = {"inner": shared, "again": shared, "other": other}
+    return {
+        "a": shared,
+        "b": shared,
+        "list": [shared, other, shared, [shared, shared]],
+        "tuple": (outer, outer, {"deep": outer}),
+        "nested": {"x": shared, "y": [outer, shared]},
+    }
+
+
+class TestPayloadEncoder:
+    """`PayloadEncoder` writes the stdlib's indented bytes; the GOLDEN hashes
+    in test_cli run every payload through it, so no payload holds a type it
+    refuses."""
+
+    @given(documents)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_stdlib(self, doc):
+        assert payload(doc) == stdlib(doc)
+        shared = aliased({"doc": doc, "leaf": 1}, doc)  # the dicts inside doc are shared too
+        assert payload(shared) == stdlib(shared)
+
+    @pytest.mark.parametrize("indent, sort_keys", [(None, True), (0, False), (4, False), ("\t", True)])
+    def test_reads_indent_and_sort_keys(self, indent, sort_keys):
+        doc = aliased({"z": [1, True, None], "a": "\u00e9"}, {"k": ()})
+        ours = json.dumps(doc, indent=indent, sort_keys=sort_keys, cls=PayloadEncoder)
+        assert ours == json.dumps(doc, indent=indent, sort_keys=sort_keys)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1: "a"}, {("a",): 1}])
+    def test_refuses_floats_fractions_and_non_str_keys(self, value):
+        for sort_keys in (True, False):
+            with pytest.raises(TypeError):
+                json.dumps({"ok": [1], "bad": [value]}, indent=2, sort_keys=sort_keys,
+                           cls=PayloadEncoder)

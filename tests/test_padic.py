@@ -550,6 +550,25 @@ class TestOncePerRun:
         assert report["all_passed"] and report["chain_count"] == flag_count(p, d)
         assert len(decided) == len(set(decided)) == pairs
 
+    def test_each_lattice_is_described_once(self, monkeypatch):
+        """315 chains at (2,4) hold 67 distinct lattices, and every chain
+        holding a lattice holds that lattice's one dict."""
+        described = []
+        describe = Lattice.describe
+
+        def counted(lat):
+            described.append(lat)
+            return describe(lat)
+
+        monkeypatch.setattr(Lattice, "describe", counted)
+        report = verify_correspondence(2, 4, (F(9, 16), F(5, 8), F(3, 4), F(7, 8)))
+        assert len(described) == len(set(described)) == 67
+        dict_of: dict[Lattice, int] = {}
+        for chain, entry in zip(maximal_chains(Lattice.standard(2, 4)), report["chains"]):
+            for lat, desc in zip(chain.lattices, entry["lattices"]):
+                assert dict_of.setdefault(lat, id(desc)) == id(desc)
+        assert len(dict_of) == 67
+
     def test_bad_chains_are_refused_after_a_run(self):
         verify_correspondence(2, 3, Q23)  # every cover pair at (2, 3) is now decided
         std = Lattice.standard(2, 3)

@@ -14,6 +14,7 @@ from clusternets import (
     minimal_common_superball,
     network_dimension,
 )
+from clusternets.cli import _network_from_paths
 from clusternets.dendrogram import mask_of
 from clusternets import simplicial
 from clusternets.simplicial import SimplicialComplex, complex_json_dict, skeleton_dot
@@ -55,6 +56,17 @@ class TestCompatibility:
         assert not rep.compatible
         offending = {tuple(v["intersection"]) for v in rep.violations}
         assert ("B", "C") in offending
+
+
+def test_violations_share_one_dict_per_ball(data_dir):
+    """On the random 32-point pair, 256 violations name 42 balls, each by one dict."""
+    net = _network_from_paths([str(data_dir / "random32" / f"m{k}.csv") for k in (1, 2)])
+    rep = check_compatibility(net)
+    dict_of: dict[int, int] = {}
+    for v in rep.violations:
+        for ball in (v["first"], v["second"]):
+            assert dict_of.setdefault(ball["id"], id(ball)) == id(ball)
+    assert (len(rep.violations), len(dict_of)) == (256, 42)
 
 
 def test_compatibility_matches_definition():
