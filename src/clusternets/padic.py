@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .dendrogram import build_dendrogram
@@ -59,6 +59,7 @@ from .network import ClusterNetwork, merge_dendrograms
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+_EXACT = frozenset((int, Fraction))  # coordinate types read as they are
 
 
 # Miller-Rabin to the first 13 primes as bases is exact below this bound
@@ -167,7 +168,7 @@ def _over_lcm(vec: Sequence) -> tuple[list[int], int]:
     """vec as (V, D): V an integer vector, D the lcm of its denominators, vec = V / D.
     Ints and Fractions are read as they are; anything else goes through
     `as_fraction`, which parses strings and refuses bools and floats."""
-    xs = [x if type(x) in (int, Fraction) else as_fraction(x) for x in vec]
+    xs = [x if type(x) in _EXACT else as_fraction(x) for x in vec]
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
 
@@ -483,7 +484,8 @@ class NormSpec:
     inverted once, on those ints (`_inverse`, which rejects a singular A):
     rows^-1 = Y/e, so A^-1 = D.Y/e, and balls read `inverse_cols`, each
     column of A^-1 as (Y_j, v_p(e) - shift), the column Y_j / (p^a u) for a
-    unit u.
+    unit u. `distance` keeps each value by its difference x - y, evaluated
+    once per norm.
     """
 
     p: int
@@ -495,6 +497,7 @@ class NormSpec:
     )
     shift: int = field(init=False, compare=False, repr=False)
     heaviest_first: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _values: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "q", norm_weights(self.p, len(self.q), self.q))
@@ -520,18 +523,15 @@ class NormSpec:
     def eval(self, z: Sequence) -> Fraction:
         """N(z) from integer valuations; the returned value is the only Fraction.
 
-        The coordinates of z are ints or Fractions. With z = Z/e for an
-        integer vector Z (e = 1 leaves z as it is), (Az)_i = w_i/(D e) where
+        The coordinates of z are read by `_over_lcm`, as frames are. With
+        z = Z/e for an integer vector Z, (Az)_i = w_i/(D e) where
         w = rows.Z, so the i-th term is q_i p^(shift + v_p(e) - v_p(w_i)).
         As each q_i lies in (1/p, 1], terms with different valuations fall
         in disjoint ranges: the maximum has the least v_p(w_i), ties going
         to the heaviest weight.
         """
         p, rows = self.p, self.rows
-        e = lcm(*[x.denominator for x in z])
-        ve = 0
-        if e > 1:
-            z, ve = [x.numerator * (e // x.denominator) for x in z], pval(e, p)
+        z, e = _over_lcm(z)
         best, arg = None, None
         for i in self.heaviest_first:
             w = sum(map(mul, rows[i], z))
@@ -545,13 +545,21 @@ class NormSpec:
                 best, arg = v, i
         if arg is None:
             return Fraction(0)
-        q, k = self.q[arg], self.shift + ve - best
+        q, k = self.q[arg], self.shift + pval(e, p) - best
         if k >= 0:
             return Fraction(q.numerator * p**k, q.denominator)
         return Fraction(q.numerator, q.denominator * p**-k)
 
     def distance(self, x: Sequence, y: Sequence) -> Fraction:
-        return self.eval([a - b for a, b in zip(x, y)])
+        # the rule of `_over_lcm`, applied before the memo: True == 1 as a key
+        if not _EXACT.issuperset(map(type, (*x, *y))):
+            x, y = [as_fraction(a) for a in x], [as_fraction(b) for b in y]
+        z = tuple(map(sub, x, y))
+        try:
+            return self._values[z]
+        except KeyError:
+            value = self._values[z] = self.eval(z)
+            return value
 
 
 def _min_exponent_with(p: int, q: Fraction, radius: Fraction) -> int:

@@ -2,15 +2,23 @@
 
 These deliberately use brute force (path enumeration, subset closure) so
 they share no code path with the library implementations they check.
+`ball_network_by_definition` reuses the library's matrix, dendrogram and
+fusion code: it judges how a window's points and norm values are formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, permutations, product
 from math import isqrt
+from operator import sub
+from types import SimpleNamespace
 
+from clusternets.dendrogram import build_dendrogram
 from clusternets.errors import StructuralError
+from clusternets.metric import DistanceMatrix
+from clusternets.network import merge_dendrograms
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -302,6 +310,26 @@ def norm_by_definition(norm, z) -> Fraction:
             v -= 1
         best = max(best, qi * Fraction(p) ** -v)
     return best
+
+
+def ball_network_by_definition(p: int, d: int, q, window: int):
+    """`padic.ball_network` by the matrix path: for each distinct ordering of
+    the weights, every ordered pair (x, y) of (Z/p^window)^d valued by
+    `norm_by_definition` at x - y, one `DistanceMatrix`, single linkage, then
+    fusion. Pairs with one difference share its value, so the definition
+    runs once per difference; the Fraction arithmetic is slow."""
+    size = p**window
+    width = len(str(size - 1))
+    points = list(product(range(size), repeat=d))
+    labels = ["".join(str(c).zfill(width) for c in x) for x in points]
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+    names, dendros = [], []
+    for perm in sorted(set(permutations(Fraction(x) for x in q))):
+        value = cache(partial(norm_by_definition, SimpleNamespace(p=p, q=perm, matrix=identity)))
+        entries = [[value(tuple(map(sub, x, y))) for y in points] for x in points]
+        names.append("A0.q" + "_".join(str(x) for x in perm))
+        dendros.append(build_dendrogram(DistanceMatrix(labels, entries)))
+    return merge_dendrograms(dendros, names)
 
 
 def _pval(x: Fraction, p: int) -> int:

@@ -171,12 +171,44 @@ def test_frame_and_basis_entries_follow_the_literal_rule(entry, message):
             call()
 
 
+@pytest.mark.parametrize(
+    "entry, twin, message",
+    [
+        (True, 1, "refusing bool value True"),
+        (0.5, F(1, 2), "refusing float value 0.5"),
+        (1e-300, F(1e-300), "refusing float value 1e-300"),
+        ("abc", 0, "bad rational literal 'abc'"),
+    ],
+    ids=["bool", "float", "tiny-float", "bad-string"],
+)
+def test_points_follow_the_literal_rule_with_the_memo_cold_and_warm(entry, twin, message):
+    # twin == entry where it can be, so a memo warmed with twin holds the key
+    # that the refused point would read
+    norm = diag_norm(2, Q22)
+    calls = (
+        lambda: norm.eval((entry, 0)),
+        lambda: norm.distance((entry, 0), (0, 0)),
+        lambda: norm.distance((0, 0), (0, entry)),
+    )
+    for memo in ("cold", "warm"):
+        for call in calls:
+            with pytest.raises(StructuralError, match=message):
+                call()
+        assert norm.distance((twin, 0), (0, 0)) == norm.eval((twin, 0))
+        assert norm.distance((0, 0), (0, twin)) == norm.eval((0, -twin))
+
+
 def test_string_entries_are_read_as_rationals():
     assert NormSpec(2, Q22, (("1/2", 0), (0, 1))).rows == ((1, 0), (0, 2))
     half = Lattice.from_basis(2, [(F(1, 2), 0), (0, 1)])
     assert Lattice.from_basis(2, [("1/2", 0), (0, "1")]) == half
     assert Lattice.standard(2, 2).contains_vector(("2/3", 0))
     assert not Lattice.standard(2, 2).contains_vector(("1/2", 0))
+    norm = diag_norm(2, Q22)
+    want = oracles.norm_by_definition(norm, (F(1, 2), -1))
+    for memo in ("cold", "warm"):
+        assert norm.eval(("1/2", "-1")) == want
+        assert norm.distance(("1/2", 0), (0, "1")) == want
 
 
 small_fractions = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=9)
@@ -947,6 +979,43 @@ class TestBallNetwork:
     def test_equal_weights_collapse_orderings(self):
         net = ball_network(2, 2, (F(4, 5), F(4, 5)), window=1)
         assert len(net.metric_ids) == 1
+
+    def test_each_norm_evaluates_each_distinct_difference_once(self, monkeypatch):
+        calls = []
+        evaluate = NormSpec.eval
+
+        def counted(norm, z):
+            calls.append((norm, z))
+            return evaluate(norm, z)
+
+        monkeypatch.setattr(NormSpec, "eval", counted)
+        # (2 p^m - 1)^d differences on (Z/p^m)^d, under each of the 3! norms
+        for window, differences in ((1, 3**3), (2, 7**3)):
+            calls.clear()
+            ball_network(2, 3, Q23, window=window)
+            assert len(calls) == len(set(calls)) == 6 * differences
+
+    def test_a_warm_norm_equals_a_fresh_one(self):
+        warm, fresh = diag_norm(2, Q23), diag_norm(2, Q23)
+        points = list(itertools.product(range(4), repeat=3))
+        for x in points:
+            for y in points:
+                warm.distance(x, y)
+        assert len(warm._values) == 7**3 and not fresh._values
+        assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+
+    @pytest.mark.parametrize(
+        "p, d, windows",
+        [(2, 1, (1, 2)), (2, 2, (1, 2)), (2, 3, (1, 2)), (3, 2, (1, 2)), (5, 2, (1,))],
+    )
+    def test_network_matches_the_matrix_path_by_definition(self, p, d, windows):
+        distinct = default_weights(p, d)
+        # all weights equal at d = 2, the two lightest equal at d = 3
+        repeated = distinct[:1] * (d // 2 + 1) + distinct[d // 2 + 1 :]
+        for q in (distinct, repeated):
+            for window in windows:
+                want = oracles.ball_network_by_definition(p, d, q, window)
+                assert ball_network(p, d, q, window) == want, (q, window)
 
     def test_reordering_norm_ids_are_deterministic(self):
         names = [name for name, _ in reordering_norms(2, Q22)]
