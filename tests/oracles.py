@@ -4,6 +4,9 @@ These deliberately use brute force (path enumeration, subset closure) so
 they share no code path with the library implementations they check.
 `ball_network_by_definition` reuses the library's matrix, dendrogram and
 fusion code: it judges how a window's points and norm values are formed.
+`round_trip_by_hermite` reuses the library's choice of adapted basis, its
+norms and its Hermite forms: it judges the round trip that the library
+decides on residues in L/pL, by comparing canonical forms instead.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from math import isqrt
 from operator import sub
 from types import SimpleNamespace
 
+from clusternets import padic
 from clusternets.dendrogram import build_dendrogram
 from clusternets.errors import StructuralError
 from clusternets.metric import DistanceMatrix
@@ -445,3 +449,75 @@ def adapted_basis_by_definition(chain):
         )
         for smaller, larger in zip(bases, bases[1:])
     )
+
+
+# ---------------------------------------------------------------------------
+# the chain -> norm -> ball chain round trip, decided by Hermite forms
+
+
+def adapted_basis_by_hermite(chain):
+    """The library's adapted basis f_j (`padic._adapted_residues`, lifted to
+    integer vectors over the top's scale), re-verified by comparing the
+    canonical form of Z_p f_1 + ... + Z_p f_j + p Z_p f_(j+1) + ... + p Z_p f_d
+    with L_j for every j = 0..d."""
+    top = chain.top
+    p = top.p
+    fs = [top._combine(w) for w in padic._adapted_residues(chain)[1]]
+    for j in range(len(fs) + 1):
+        vectors = [(f if i < j else [x * p for x in f], top.scale) for i, f in enumerate(fs)]
+        if padic.Lattice._hermite(p, vectors) != chain.lattices[j]:
+            raise AssertionError("adapted basis fails the chain decomposition")
+    return fs
+
+
+def norm_from_chain_by_hermite(chain, q):
+    """The norm that inverts `adapted_basis_by_hermite`, as `padic.norm_from_chain`."""
+    top = chain.top
+    qs = padic.norm_weights(top.p, top.dimension, q)
+    inv, e = padic._inverse(list(zip(*adapted_basis_by_hermite(chain))))
+    s = top.p**top.scale
+    return padic.NormSpec(top.p, qs, tuple(tuple(Fraction(s * y, e) for y in row) for row in inv))
+
+
+def ball_radius_by_hermite(norm, lattice):
+    """Smallest R with ball(R) = L, or None when L is not an N-ball: R is the
+    largest norm of L's basis, and ball(R) must have L's canonical form."""
+    r = max(norm.eval(col) for col in lattice.cols) * lattice.p**lattice.scale
+    return r if padic.ball_of_radius(norm, r) == lattice else None
+
+
+def intermediary_balls_by_hermite(norm, lattice):
+    """ball(R/p) = p.L, the ball of each value q_i.p^(-k_i) in (R/p, R)
+    (`padic.ball_of_radius`, a Hermite form each), then L = ball(R)."""
+    radius = ball_radius_by_hermite(norm, lattice)
+    if radius is None:
+        raise ValueError("lattice is not a ball of this norm")
+    p = norm.p
+    values = {qi * Fraction(p) ** -padic._min_exponent_with(p, qi, radius) for qi in norm.q}
+    radii = sorted(values - {radius} | {radius / p})
+    return padic.LatticeChain((*(padic.ball_of_radius(norm, r) for r in radii), lattice))
+
+
+def round_trip_by_hermite(chain, q) -> bool:
+    """Whether the ball chain of the chain's norm through its top is the
+    chain, every lattice compared by its Hermite form; a top that is not a
+    ball of the norm is a failed round trip, as in `verify_correspondence`."""
+    try:
+        norm = norm_from_chain_by_hermite(chain, q)
+        return intermediary_balls_by_hermite(norm, chain.top).lattices == chain.lattices
+    except ValueError:
+        return False
+
+
+def round_trip_disagreements(p: int, d: int, q) -> list[int]:
+    """The indices of the chains through the standard lattice on which
+    `verify_correspondence` and `round_trip_by_hermite` disagree; every round
+    trip of the report must pass."""
+    report = padic.verify_correspondence(p, d, q)
+    chains = padic.maximal_chains(padic.Lattice.standard(p, d))
+    assert report["all_passed"] and len(report["chains"]) == len(chains)
+    return [
+        idx
+        for idx, (chain, entry) in enumerate(zip(chains, report["chains"]))
+        if entry["round_trip_ok"] != round_trip_by_hermite(chain, q)
+    ]

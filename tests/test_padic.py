@@ -28,7 +28,6 @@ from clusternets import (
 )
 from clusternets import padic
 from clusternets.padic import (
-    ball_radius_of,
     default_weights,
     identity_matrix,
     norm_weights,
@@ -196,6 +195,24 @@ def test_points_follow_the_literal_rule_with_the_memo_cold_and_warm(entry, twin,
                 call()
         assert norm.distance((twin, 0), (0, 0)) == norm.eval((twin, 0))
         assert norm.distance((0, 0), (0, twin)) == norm.eval((0, -twin))
+
+
+def test_points_of_the_wrong_length_are_refused_with_the_memo_cold_and_warm():
+    norm = diag_norm(2, Q22)
+    calls = (
+        (lambda: norm.eval((1,)), "point of length 1 for dimension 2"),
+        (lambda: norm.eval((0, 1, 7)), "point of length 3 for dimension 2"),
+        (lambda: norm.distance((1, 0, 5), (0, 0)), "points of length 3 and 2 for dimension 2"),
+        (lambda: norm.distance((1, 0), (0, 0, 0)), "points of length 2 and 3 for dimension 2"),
+        (lambda: norm.distance((1,), (0,)), "points of length 1 and 1 for dimension 2"),
+    )
+    for memo in ("cold", "warm"):
+        for call, message in calls:
+            with pytest.raises(StructuralError, match=message):
+                call()
+        # warm the keys that a truncated point would read: (1, 0), (1,) and (0, 1)
+        assert norm.distance((1, 0), (0, 0)) == F(3, 5)
+        assert norm.distance((0, 1), (0, 0)) == F(4, 5)
 
 
 def test_string_entries_are_read_as_rationals():
@@ -371,6 +388,11 @@ class TestIntermediaryBalls:
             (1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0),
         ]
 
+    def test_lattice_of_another_dimension_rejected(self):
+        for d in (1, 3):
+            with pytest.raises(StructuralError, match=f"lattice in dimension {d}, norm in 2"):
+                intermediary_balls(diag_norm(2, Q22), Lattice.standard(2, d))
+
     def test_non_ball_rejected(self):
         skew = Lattice.from_basis(2, [(1, 1), (0, 4)])
         with pytest.raises(ValueError, match="not a ball"):
@@ -407,7 +429,8 @@ class TestIntermediaryBalls:
                 norm = NormSpec(p, q, frame)
                 top = ball_of_radius(norm, radius)
                 balls = [
-                    k for k in lattices_between(top) if ball_radius_of(norm, k) is not None
+                    k for k in lattices_between(top)
+                    if oracles.ball_radius_by_hermite(norm, k) is not None
                 ]
                 balls.sort(key=lambda k: sum(k.exponents), reverse=True)
                 assert intermediary_balls(norm, top).lattices == tuple(balls), (q, frame)
@@ -934,6 +957,152 @@ class TestVerifyCorrespondence:
             q = default_weights(p, d)
             assert all(F(1, p) < x <= 1 for x in q)
             assert all(b > a for a, b in zip(q, q[1:]))
+
+
+Q24 = (F(9, 16), F(5, 8), F(3, 4), F(7, 8))
+Q33 = (F(2, 3), F(7, 9), F(8, 9))
+Q52 = (F(5, 7), F(6, 7))
+
+
+class TestRoundTripOnResidues:
+    """The round trip is decided on residues in L/pL; `oracles.round_trip_by_hermite`
+    decides it by Hermite forms, as the library did before."""
+
+    @pytest.mark.parametrize(
+        "p, d, q",
+        [(2, 3, Q23), (2, 4, Q24), (3, 3, Q33), (5, 2, Q52)],
+        ids=["2-3", "2-4", "3-3", "5-2"],
+    )
+    def test_the_hermite_judge_agrees_on_every_chain(self, p, d, q):
+        assert verify_correspondence(p, d, q)["all_passed"]
+        assert oracles.round_trip_disagreements(p, d, q) == []
+
+    @pytest.mark.parametrize(
+        "p, d, q, distinct", [(2, 3, Q23, 16), (2, 4, Q24, 67), (3, 3, Q33, 28)]
+    )
+    def test_hermite_forms_only_for_the_lifts(self, monkeypatch, p, d, q, distinct):
+        """One Hermite form per lattice that `maximal_chains` lifts (all but p.L
+        and L), against 3,215 per run at (2,4) when the round trip compared forms."""
+        forms = []
+        hermite = Lattice._hermite.__func__
+
+        def counted(cls, p, vecs):
+            forms.append(vecs)
+            return hermite(cls, p, vecs)
+
+        monkeypatch.setattr(Lattice, "_hermite", classmethod(counted))
+        report = verify_correspondence(p, d, q)
+        chains = maximal_chains(Lattice.standard(p, d))
+        lattices = {lat for chain in chains for lat in chain.lattices}
+        assert report["all_passed"] and len(lattices) == distinct
+        assert len(forms) == distinct - 2
+
+    def test_weights_are_read_per_run_not_per_chain(self, monkeypatch):
+        reads = []
+        read = padic.norm_weights
+
+        def counted(p, d, q):
+            reads.append(q)
+            return read(p, d, q)
+
+        monkeypatch.setattr(padic, "norm_weights", counted)
+        for p, d, q in ((2, 3, Q23), (2, 4, Q24)):
+            reads.clear()
+            assert verify_correspondence(p, d, q)["all_passed"]
+            assert len(reads) == 2  # the report's parameters, then the chains' weights
+        chain = maximal_chains(Lattice.standard(2, 4))[7]
+        reads.clear()
+        weights = padic._chain_weights(2, 4, Q24)
+        assert norm_from_chain(chain, weights).q is weights and len(reads) == 1
+        # weights read for p = 3 are read again for p = 2, and for another dimension
+        read_for_3 = padic._chain_weights(3, 2, (F(2, 5), F(3, 5)))
+        for call in (
+            lambda: padic._chain_weights(2, 2, read_for_3),
+            lambda: NormSpec(2, read_for_3, identity_matrix(2)),
+        ):
+            with pytest.raises(StructuralError, match=r"weight 2/5 outside \(1/2, 1\]"):
+                call()
+        with pytest.raises(StructuralError, match="got 2 weights for dimension 3"):
+            padic._chain_weights(3, 3, read_for_3)
+
+    @pytest.mark.parametrize("p, d", [(2, 2), (3, 2), (2, 3), (5, 2)])
+    def test_ball_decisions_match_hermite_forms(self, p, d):
+        """Every lattice between p.top and top, for random weights and frames:
+        a ball exactly when the Hermite judge finds one, with the same chain."""
+        rng = random.Random(10 * p + d)
+        frames = oracle_frames(p, d)
+        balls = decided = 0
+        for _ in range(5):
+            dens = [rng.randint(2, 30) for _ in range(d)]
+            pool = [F(rng.randint(den // p + 1, den), den) for den in dens]
+            q = tuple(rng.choice(pool) for _ in range(d))
+            norm = NormSpec(p, q, rng.choice(frames))
+            top = ball_of_radius(norm, F(rng.randint(1, 20), rng.randint(1, 20)))
+            for lat in [*lattices_between(top), top.dilate(-1), Lattice.standard(p, d)]:
+                decided += 1
+                if oracles.ball_radius_by_hermite(norm, lat) is None:
+                    with pytest.raises(ValueError, match="not a ball"):
+                        intermediary_balls(norm, lat)
+                    continue
+                balls += 1
+                want = oracles.intermediary_balls_by_hermite(norm, lat)
+                assert intermediary_balls(norm, lat) == want, (q, norm.matrix, lat)
+        assert balls >= 10 and decided - balls >= 10, (balls, decided)
+
+
+def swap_into_previous(j):
+    """`padic._adapted_residues` with f_j swapped for a vector in L_(j-1): f_(j-1),
+    or p.f_1 for j = 1."""
+    pick = padic._adapted_residues
+
+    def corrupted(chain):
+        spans, ws = pick(chain)
+        p = chain.top.p
+        ws[j - 1] = ws[j - 2] if j > 1 else tuple(p * x for x in ws[0])
+        return spans, ws
+
+    return corrupted
+
+
+def scale_one_inverse_column(power):
+    """`NormSpec.__post_init__` with its first inverse column c_1 replaced by
+    p^power.c_1, so the inverse columns are not a basis of L."""
+    post_init = NormSpec.__post_init__
+
+    def corrupted(self):
+        post_init(self)
+        (v, a), *rest = self.inverse_cols
+        object.__setattr__(self, "inverse_cols", ((v, a - power), *rest))
+
+    return corrupted
+
+
+class TestRoundTripMutations:
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_corrupted_adapted_basis(self, monkeypatch, j):
+        chains = maximal_chains(Lattice.standard(2, 3))
+        monkeypatch.setattr(padic, "_adapted_residues", swap_into_previous(j))
+        with pytest.raises(AssertionError, match="adapted basis fails"):
+            verify_correspondence(2, 3, Q23)
+        for chain in chains:  # the judge's forms may also lose rank: a failed round trip
+            try:
+                assert not oracles.round_trip_by_hermite(chain, Q23)
+            except AssertionError as exc:
+                assert "adapted basis fails" in str(exc)
+
+    @pytest.mark.parametrize("power", [1, -1, 2])
+    def test_inverse_columns_not_a_basis(self, monkeypatch, power):
+        chains = maximal_chains(Lattice.standard(2, 3))
+        monkeypatch.setattr(NormSpec, "__post_init__", scale_one_inverse_column(power))
+        report = verify_correspondence(2, 3, Q23)
+        assert not report["all_passed"] and report["round_trips_passed"] == 0
+        assert not any(entry["round_trip_ok"] for entry in report["chains"])
+        assert not any(oracles.round_trip_by_hermite(chain, Q23) for chain in chains)
+
+    def test_the_unmutated_round_trip_passes(self):
+        chains = maximal_chains(Lattice.standard(2, 3))
+        assert verify_correspondence(2, 3, Q23)["round_trips_passed"] == len(chains) == 21
+        assert all(oracles.round_trip_by_hermite(chain, Q23) for chain in chains)
 
 
 class TestNormAxioms:
