@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterator
 
 # chain_distance is unused here; bench/replay.py wraps it as dendrogram.chain_distance
-from .metric import DistanceMatrix, chain_distance, single_linkage
+from .metric import _ZERO, DistanceMatrix, chain_distance, single_linkage
 
 
 def mask_of(indices) -> int:
@@ -86,7 +86,7 @@ def build_dendrogram(dm: DistanceMatrix) -> Dendrogram:
     component of the threshold graph at its radius, and its parent is the
     smallest cluster strictly containing it.
     """
-    radius = {1 << i: Fraction(0) for i in range(dm.n)}
+    radius = dict.fromkeys([1 << i for i in range(dm.n)], _ZERO)
     parent_of: dict[int, int] = {}
     for value, parts in single_linkage(dm):
         masks = [mask_of(part) for part in parts]

@@ -1,9 +1,9 @@
 """Finite dissimilarity spaces and the chain distance.
 
-All values are exact rationals (`fractions.Fraction`); merge orders and
-cluster identities depend on exact ties, so no floats enter any comparison.
-A matrix sorts its distinct values once and keeps one integer rank per
-pair, so every later order and tie is decided on ints.
+All values are exact rationals, kept as ints (numerator, denominator) until
+one is read as a `fractions.Fraction`. Merge orders and cluster identities
+depend on exact ties, so a matrix sorts its distinct values once, with no
+float, and keeps one integer rank per pair: every later order is on ints.
 Labels are canonicalized to lexicographic order at construction, which makes
 every downstream artifact (dendrograms, networks, serializations)
 deterministic and lets matrices over the same label set share indices.
@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from pathlib import Path
 from typing import Sequence
 
@@ -56,23 +57,43 @@ def as_fraction(value: Rational) -> Fraction:
     return x
 
 
-def _order(v: Fraction) -> tuple[int, Fraction]:
-    """Sort key of a rational: floor(v * 2**64) decides in int arithmetic,
-    the Fraction breaks ties."""
-    return ((v.numerator << 64) // v.denominator, v)
+class _Codes(dict):
+    """str literal -> value code for one matrix; `codes` maps each value, as
+    (numerator, denominator) in lowest terms, to its code. A literal of ASCII
+    digits, or digits/digits with a nonzero denominator, within MAX_DIGITS
+    characters, is read by int(); every other cell goes through as_fraction."""
+
+    __slots__ = ("codes",)  # read once per cell that is no str: a slot is faster
+
+    def __init__(self):
+        self.codes: dict[tuple[int, int], int] = {}
+
+    def code(self, x) -> int:
+        x, codes = as_fraction(x), self.codes
+        return codes.setdefault((x.numerator, x.denominator), len(codes))
+
+    def __missing__(self, s: str) -> int:
+        num, _, den = s.partition("/") if "/" in s else (s, "/", "1")
+        if len(s) <= MAX_DIGITS and s.isascii() and num.isdigit() and den.isdigit() and int(den):
+            n, d = int(num), int(den)
+            g = gcd(n, d)
+            c = self[s] = self.codes.setdefault((n // g, d // g), len(self.codes))
+        else:
+            c = self[s] = self.code(s)
+        return c
 
 
-def _check(labels: tuple[str, ...], found: list[Fraction], zero, grid: list[list[int]]) -> None:
+def _check(labels: tuple[str, ...], found: list[tuple[int, int]], zero, grid) -> None:
     """Reject a nonzero diagonal, an asymmetric pair or a negative pair in a
-    grid of value codes (`found[code]` is the value, `zero` the code of 0).
-    The first fault in row-major order is reported: each row's diagonal
-    cell, then its pairs to the right, symmetry before sign. A row without
-    a fault is passed over by one slice comparison."""
-    negative = {c for c, x in enumerate(found) if x.numerator < 0}
+    grid of value codes (`found[code]` is a value's (numerator, denominator),
+    `zero` the code of 0). The first fault in row-major order is reported:
+    each row's diagonal cell, then its pairs to the right, symmetry before
+    sign. A row without a fault is passed over by one slice comparison."""
+    negative = {c for c, (x, _) in enumerate(found) if x < 0}
     for i, (row, column) in enumerate(zip(grid, zip(*grid))):
         if row[i] != zero:
             raise StructuralError(
-                f"nonzero diagonal at ({labels[i]},{labels[i]}): {found[row[i]]}"
+                f"nonzero diagonal at ({labels[i]},{labels[i]}): {Fraction(*found[row[i]])}"
             )
         upper = row[i + 1 :]
         if tuple(upper) == column[i + 1 :] and negative.isdisjoint(upper):
@@ -81,11 +102,11 @@ def _check(labels: tuple[str, ...], found: list[Fraction], zero, grid: list[list
             if row[j] != column[j]:
                 raise StructuralError(
                     f"asymmetry at ({labels[i]},{labels[j]}): "
-                    f"{found[row[j]]} != {found[column[j]]}"
+                    f"{Fraction(*found[row[j]])} != {Fraction(*found[column[j]])}"
                 )
             if row[j] in negative:
                 raise StructuralError(
-                    f"negative entry at ({labels[i]},{labels[j]}): {found[row[j]]}"
+                    f"negative entry at ({labels[i]},{labels[j]}): {Fraction(*found[row[j]])}"
                 )
 
 
@@ -95,13 +116,14 @@ class DistanceMatrix:
     A matrix is stored as ranks: `values` holds the distinct off-diagonal
     values in ascending order, and `ranks` one index into it for each pair
     i < j, row by row over the upper triangle. Order and ties are therefore
-    decided on ints; `entries` rebuilds the full table of Fractions.
+    decided on ints. Value r is kept as `_nums[r]` over `_dens[r]`, maybe
+    not in lowest terms; `values` and `entries` build Fractions on first use.
 
     The triangle inequality is *not* an invariant: the chain distance is
     well defined for any symmetric dissimilarity.
     """
 
-    __slots__ = ("labels", "values", "ranks", "_entries")
+    __slots__ = ("labels", "ranks", "_nums", "_dens", "_values", "_entries")
 
     def __init__(self, labels: Sequence[str], entries: Sequence[Sequence[Rational]]):
         labels = [str(x) for x in labels]
@@ -118,48 +140,38 @@ class DistanceMatrix:
         # Every cell becomes a code, one per distinct value. Each distinct
         # str literal is parsed once. That memo is keyed on str only: True == 1
         # and both hash alike, and a bool cell must still reach as_fraction.
-        literals: dict[str, int] = {}
-        codes: dict[tuple[int, int], int] = {}  # (numerator, denominator) -> code
-        found: list[Fraction] = []  # code -> value
-        rows = []
+        memo = _Codes()
+        code, rows = memo.code, []
         for i, row in enumerate(entries):
             if len(row) != n:
                 raise StructuralError(f"row {labels[i]!r} has {len(row)} entries, expected {n}")
-            coded = []
-            for v in row:
-                c = literals.get(v) if type(v) is str else None
-                if c is None:
-                    x = as_fraction(v)
-                    c = codes.setdefault((x.numerator, x.denominator), len(found))
-                    if c == len(found):
-                        found.append(x)
-                    if type(v) is str:
-                        literals[v] = c
-                coded.append(c)
-            rows.append(coded)
+            rows.append([memo[v] if type(v) is str else code(v) for v in row])
+        found = list(memo.codes)  # code -> (numerator, denominator)
         # Canonical lexicographic label order; permute the codes to match.
         order = sorted(range(n), key=lambda i: labels[i])
         self_labels = tuple(labels[i] for i in order)
         grid = [[row[j] for j in order] for row in map(rows.__getitem__, order)]
-        _check(self_labels, found, codes.get((0, 1)), grid)
+        _check(self_labels, found, memo.codes.get((0, 1)), grid)
         upper = list(chain.from_iterable(row[i + 1 :] for i, row in enumerate(grid)))
-        used = sorted(set(upper), key=lambda c: _order(found[c]))
-        rank = [0] * len(found)
-        for r, c in enumerate(used):
-            rank[c] = r
-        self._fill(self_labels, tuple(found[c] for c in used), tuple(map(rank.__getitem__, upper)))
+        # floor(v * 2**shift) orders distinct values: with denominators below
+        # 2**(shift/2), two of them differ by more than 2**-shift.
+        shift = 2 * max(d for _, d in found).bit_length()
+        used = sorted(set(upper), key=[(x << shift) // y for x, y in found].__getitem__)
+        rank = {c: r for r, c in enumerate(used)}
+        nums, dens = (tuple(map(xs.__getitem__, used)) for xs in zip(*found))
+        self._fill(self_labels, tuple(map(rank.__getitem__, upper)), nums, dens)
 
     @classmethod
-    def _from_ranks(cls, labels, values, ranks) -> "DistanceMatrix":
+    def _from_ranks(cls, labels, ranks, nums, dens) -> "DistanceMatrix":
         """A matrix that is valid by construction, so it is not checked:
-        canonical labels, distinct non-negative values in ascending order,
-        and every value ranked by some pair."""
+        canonical labels, distinct non-negative values nums[r]/dens[r] in
+        ascending order, and every value ranked by some pair."""
         self = object.__new__(cls)
-        self._fill(labels, values, ranks)
+        self._fill(labels, ranks, nums, dens)
         return self
 
-    def _fill(self, labels, values, ranks) -> None:
-        for name, value in zip(self.__slots__, (labels, values, ranks, None)):
+    def _fill(self, labels, ranks, nums, dens) -> None:
+        for name, value in zip(self.__slots__, (labels, ranks, nums, dens, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -174,6 +186,13 @@ class DistanceMatrix:
             return self.labels.index(label)
         except ValueError:
             raise LookupError(f"unknown label {label!r}") from None
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The distinct off-diagonal values in ascending order, built on first use."""
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(map(Fraction, self._nums, self._dens)))
+        return self._values
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -265,7 +284,7 @@ def read_matrix(path: str | Path) -> DistanceMatrix:
 def _merge_ranks(dm: DistanceMatrix) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
     """`single_linkage` with each merge value given by its rank in `dm.values`."""
     n = dm.n
-    buckets: list[list[int]] = [[] for _ in dm.values]  # pair codes i*n + j by rank
+    buckets: list[list[int]] = [[] for _ in dm._nums]  # pair codes i*n + j by rank
     for code, r in zip([i * n + j for i in range(n) for j in range(i + 1, n)], dm.ranks):
         buckets[r].append(code)
     parent = list(range(n))
@@ -303,10 +322,10 @@ def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, 
     point-index tuples of the components it joins. A tie group is linked
     whole before anything is recorded, so A-B and B-C at one value give one
     merge of A, B and C. The pairs are bucketed by their stored rank (a
-    counting sort), so no value is compared again.
-    """
-    values = dm.values
-    return [(values[r], parts) for r, parts in _merge_ranks(dm)]
+    counting sort), so no value is compared again; only merge values become
+    Fractions."""
+    nums, dens = dm._nums, dm._dens
+    return [(Fraction(nums[r], dens[r]), parts) for r, parts in _merge_ranks(dm)]
 
 
 def chain_distance(dm: DistanceMatrix) -> DistanceMatrix:
@@ -331,5 +350,5 @@ def chain_distance(dm: DistanceMatrix) -> DistanceMatrix:
                 for a in part:
                     for b in other:
                         ranks[offset[a] + b if a < b else offset[b] + a] = rank
-    values = tuple(dm.values[r] for r in used)
-    return DistanceMatrix._from_ranks(dm.labels, values, tuple(ranks))
+    nums, dens = (tuple(map(xs.__getitem__, used)) for xs in (dm._nums, dm._dens))
+    return DistanceMatrix._from_ranks(dm.labels, tuple(ranks), nums, dens)

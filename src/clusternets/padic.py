@@ -691,8 +691,8 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
 
     Every maximal lattice chain through the standard lattice is turned into a
     norm and read back into a ball chain; the round trip must be the identity
-    (a top that is no ball of the norm fails it), distinct chains must stay
-    distinct, and the chain count must equal the complete-flag count. Repeated
+    (a top that is no ball of the norm fails it), distinct chains must give
+    distinct ball chains, and the chain count must equal the flag count. Repeated
     weights give the degenerate report instead: the shortened ball chain of
     the diagonal norm. Each distinct lattice is described once, and every
     chain that holds it holds that one dict, so the report is read-only.
@@ -717,17 +717,19 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
     chains = maximal_chains(lattice)
     expected = flag_count(p, d)
     described = {lat: lat.describe() for lat in {lat for c in chains for lat in c.lattices}}
-    results, passed = [], 0
+    results, passed, ball_chains = [], 0, set()
     for idx, chain in enumerate(chains):
         norm = norm_from_chain(chain, qs)
         try:
-            ok = intermediary_balls(norm, lattice).lattices == chain.lattices
-        except ValueError:  # the top is not a ball of the chain's norm
-            ok = False
+            balls = intermediary_balls(norm, lattice).lattices
+        except ValueError:  # the top is not a ball of the chain's norm: it counts as its own
+            balls = idx
+        ok = balls == chain.lattices
         passed += ok
+        ball_chains.add(balls)
         lattices = [described[lat] for lat in chain.lattices]
         results.append({"index": idx, "lattices": lattices, "round_trip_ok": ok})
-    distinct = len({tuple(c.lattices) for c in chains}) == len(chains)
+    distinct = len(ball_chains) == len(chains)
     return {
         "parameters": parameters,
         "degenerate_parameters": False,

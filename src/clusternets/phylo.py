@@ -51,8 +51,8 @@ class MarkerSet:
         times L as ints, and its pair ranks."""
         out = []
         for _, dm in self.markers:
-            scale = lcm(*(x.denominator for x in dm.values))
-            ints = [x.numerator * (scale // x.denominator) for x in dm.values]
+            scale = lcm(*dm._dens)
+            ints = [x * (scale // y) for x, y in zip(dm._nums, dm._dens)]
             out.append((scale, ints, dm.ranks))
         return tuple(out)
 
@@ -77,10 +77,11 @@ def combine(markers: MarkerSet, weights) -> DistanceMatrix:
     The sum runs on ints: marker j's values are x/L_j over the lcm L_j of
     their denominators, and a weight a/b becomes the integer factor
     D*a/(b*L_j) over one common denominator D, so each pair's key is a sum
-    of table lookups by the pair's rank. Keys order as their values do, and
-    a Fraction is built only for each distinct key. The sum of validated
-    markers with non-negative weights is symmetric, non-negative and zero
-    on the diagonal, so it is not validated again.
+    of table lookups by the pair's rank. Keys order as their values do; the
+    matrix keeps the distinct keys over D as its values, so no Fraction is
+    built until a value is read. The sum of validated markers with
+    non-negative weights is symmetric, non-negative and zero on the
+    diagonal, so it is not validated again.
     """
     w = weight_vector(weights)
     if len(w) != len(markers):
@@ -96,9 +97,7 @@ def combine(markers: MarkerSet, weights) -> DistanceMatrix:
     distinct = sorted(set(keys))
     rank = {k: r for r, k in enumerate(distinct)}
     return DistanceMatrix._from_ranks(
-        markers.labels,
-        tuple(Fraction(k, den) for k in distinct),
-        tuple(map(rank.__getitem__, keys)),
+        markers.labels, tuple(map(rank.__getitem__, keys)), tuple(distinct), (den,) * len(distinct)
     )
 
 

@@ -7,13 +7,15 @@ fusion code: it judges how a window's points and norm values are formed.
 `round_trip_by_hermite` reuses the library's choice of adapted basis, its
 norms and its Hermite forms: it judges the round trip that the library
 decides on residues in L/pL, by comparing canonical forms instead.
+`matrix_by_fractions` reuses `as_fraction` and `_from_ranks`: it judges how
+the matrix reader parses, checks and sorts cells.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import isqrt
 from operator import sub
 from types import SimpleNamespace
@@ -21,13 +23,98 @@ from types import SimpleNamespace
 from clusternets import padic
 from clusternets.dendrogram import build_dendrogram
 from clusternets.errors import StructuralError
-from clusternets.metric import DistanceMatrix
+from clusternets.metric import DistanceMatrix, as_fraction
 from clusternets.network import merge_dendrograms
 
 
 def is_prime_by_trial_division(n: int) -> bool:
     """n >= 2 with no divisor in [2, sqrt(n)]."""
     return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+def _order_by_fraction(v: Fraction) -> tuple[int, Fraction]:
+    """Sort key of a rational: floor(v * 2**64) decides in int arithmetic,
+    the Fraction breaks ties."""
+    return ((v.numerator << 64) // v.denominator, v)
+
+
+def _check_fractions(labels, found: list[Fraction], zero, grid: list[list[int]]) -> None:
+    """The matrix checks over Fraction values, first fault in row-major order."""
+    negative = {c for c, x in enumerate(found) if x.numerator < 0}
+    for i, (row, column) in enumerate(zip(grid, zip(*grid))):
+        if row[i] != zero:
+            raise StructuralError(
+                f"nonzero diagonal at ({labels[i]},{labels[i]}): {found[row[i]]}"
+            )
+        upper = row[i + 1 :]
+        if tuple(upper) == column[i + 1 :] and negative.isdisjoint(upper):
+            continue
+        for j in range(i + 1, len(row)):
+            if row[j] != column[j]:
+                raise StructuralError(
+                    f"asymmetry at ({labels[i]},{labels[j]}): "
+                    f"{found[row[j]]} != {found[column[j]]}"
+                )
+            if row[j] in negative:
+                raise StructuralError(
+                    f"negative entry at ({labels[i]},{labels[j]}): {found[row[j]]}"
+                )
+
+
+def matrix_by_fractions(labels, entries) -> DistanceMatrix:
+    """A matrix read by parsing every cell with `as_fraction` and sorting the
+    distinct values as Fractions. It judges the library's reader, which reads
+    plain literals with int() and sorts on integer keys: value for value and
+    message for message."""
+    labels = [str(x) for x in labels]
+    if not labels:
+        raise StructuralError("empty point set")
+    if len(set(labels)) != len(labels):
+        dup = sorted({x for x in labels if labels.count(x) > 1})
+        raise StructuralError(f"duplicate labels: {dup}")
+    if any(not name for name in labels):
+        raise StructuralError("empty label name")
+    n = len(labels)
+    if len(entries) != n:
+        raise StructuralError(f"matrix has {len(entries)} rows for {n} labels")
+    # Each distinct str literal is parsed once. That memo is keyed on str
+    # only: True == 1 and both hash alike, and a bool cell must still reach
+    # as_fraction.
+    literals: dict[str, int] = {}
+    codes: dict[tuple[int, int], int] = {}  # (numerator, denominator) -> code
+    found: list[Fraction] = []  # code -> value
+    rows = []
+    for i, row in enumerate(entries):
+        if len(row) != n:
+            raise StructuralError(f"row {labels[i]!r} has {len(row)} entries, expected {n}")
+        coded = []
+        for v in row:
+            c = literals.get(v) if type(v) is str else None
+            if c is None:
+                x = as_fraction(v)
+                c = codes.setdefault((x.numerator, x.denominator), len(found))
+                if c == len(found):
+                    found.append(x)
+                if type(v) is str:
+                    literals[v] = c
+            coded.append(c)
+        rows.append(coded)
+    order = sorted(range(n), key=lambda i: labels[i])
+    sorted_labels = tuple(labels[i] for i in order)
+    grid = [[row[j] for j in order] for row in map(rows.__getitem__, order)]
+    _check_fractions(sorted_labels, found, codes.get((0, 1)), grid)
+    upper = list(chain.from_iterable(row[i + 1 :] for i, row in enumerate(grid)))
+    used = sorted(set(upper), key=lambda c: _order_by_fraction(found[c]))
+    rank = [0] * len(found)
+    for r, c in enumerate(used):
+        rank[c] = r
+    values = [found[c] for c in used]
+    return DistanceMatrix._from_ranks(
+        sorted_labels,
+        tuple(map(rank.__getitem__, upper)),
+        tuple(x.numerator for x in values),
+        tuple(x.denominator for x in values),
+    )
 
 
 def minimax_path_distance(entries, a: int, b: int) -> Fraction:

@@ -145,6 +145,85 @@ class TestConstruction:
         assert DistanceMatrix(["x"], [["0"]]).values == ()
 
 
+# Cells for judging the reader against `oracles.matrix_by_fractions`. Each
+# group spells one value several ways; every cell of REFUSED is refused.
+SPELLINGS = [
+    ["7/10", "007/010", "0.7", "14/20"],
+    ["3", "003", "+3", " 3", "\u0663", "6/2", "3/1", 3],
+    ["10", "010", "1e1", "1_0", "10/1", "20/2"],
+    ["1/2", "0.5", "2/4", F(1, 2)],
+    ["1/4", "0.25", "2/8"],
+    ["1", "01", 1, F(1)],
+    ["9" * 4300, "9" * 4300 + "/1"],
+]
+ZEROS = ["0", "0/5", "000", "0.0", "-0", 0, F(0)]
+REFUSED = [
+    "5/0", "0/0", "\u00b2", "3/", "/3", "3//4", "1e5000", "1" * 4301, True, 0.25, "x", "",
+]
+
+
+@st.composite
+def cell_tables(draw):
+    """Labels and a symmetric table whose equal values are spelled apart;
+    half the time one cell is then replaced by any cell at all, which may
+    be negative, asymmetric, a nonzero diagonal or refused."""
+    n = draw(st.integers(1, 4))
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        table[i][i] = draw(st.sampled_from(ZEROS))
+        for j in range(i + 1, n):
+            group = st.sampled_from(draw(st.sampled_from(SPELLINGS)))
+            table[i][j], table[j][i] = draw(group), draw(group)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        accepted = [c for group in SPELLINGS for c in group] + ZEROS + ["-3"]
+        table[i][j] = draw(st.sampled_from(accepted) | st.sampled_from(REFUSED))
+    return ["d", "b", "a", "c"][:n], table
+
+
+class TestReaderJudge:
+    @settings(max_examples=200, deadline=None)
+    @given(cell_tables())
+    def test_same_matrix_or_same_message_as_fraction_reader(self, case):
+        labels, table = case
+        try:
+            want = oracles.matrix_by_fractions(labels, table)
+        except StructuralError as exc:
+            with pytest.raises(StructuralError) as info:
+                DistanceMatrix(labels, table)
+            assert str(info.value) == str(exc)
+            return
+        got = DistanceMatrix(labels, table)
+        assert got == want and hash(got) == hash(want)
+        assert got.values == want.values and got.ranks == want.ranks
+        assert got.entries == want.entries
+
+    @pytest.mark.parametrize("cell", REFUSED, ids=repr)
+    def test_refused_cell_gives_the_fraction_readers_message(self, cell):
+        rows = [["0", "1/2"], [cell, "0"]]
+        with pytest.raises(StructuralError) as want:
+            oracles.matrix_by_fractions(["a", "b"], rows)
+        with pytest.raises(StructuralError) as got:
+            DistanceMatrix(["a", "b"], rows)
+        assert str(got.value) == str(want.value)
+
+    def test_read_matrix_builds_no_fraction(self, tmp_path, monkeypatch):
+        path = tmp_path / "plain.csv"
+        path.write_text("label,a,b,c\na,0,7/10,3\nb,14/20,0,010/4\nc,003,5/2,0\n")
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        dm = read_matrix(path)
+        monkeypatch.undo()
+        assert built == []
+        assert dm.values == (F(7, 10), F(5, 2), F(3))
+
+
 class TestCsv:
     def test_round_trip(self, trio_a, data_dir):
         text = (data_dir / "trio_a.csv").read_text()

@@ -952,6 +952,20 @@ class TestVerifyCorrespondence:
         assert report["round_trips_passed"] == report["chain_count"]
         assert report["distinct_ball_chains"]
 
+    def test_two_chains_with_one_ball_chain_are_caught(self, monkeypatch):
+        """The second chain is given the first chain's norm, so both read back
+        into the first chain's balls."""
+        chains = maximal_chains(Lattice.standard(2, 2))
+        build = padic.norm_from_chain
+        monkeypatch.setattr(
+            padic, "norm_from_chain",
+            lambda chain, q: build(chains[0] if chain == chains[1] else chain, q),
+        )
+        report = verify_correspondence(2, 2, (F(3, 5), F(4, 5)))
+        assert report["round_trips_passed"] == report["chain_count"] - 1
+        assert report["distinct_ball_chains"] is False
+        assert report["all_passed"] is False
+
     def test_default_weights_satisfy_window(self):
         for p, d in ((2, 1), (2, 2), (2, 3), (3, 2)):
             q = default_weights(p, d)

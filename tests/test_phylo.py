@@ -155,6 +155,24 @@ class TestCombineOracle:
         assert len(built) <= len(got.values)
         assert [list(row) for row in got.entries] == oracles.combine_by_definition(ms, weights)
 
+    def test_fraction_built_per_merge_of_the_tree(self, data_dir, monkeypatch):
+        ms = load_marker_bundle(data_dir / "markers_mixed" / "manifest.json")
+        weights = (F(1, 3), F(2, 7), F(3, 10))
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        got = combine(ms, weights)
+        dendro = build_dendrogram(got)
+        monkeypatch.undo()
+        merges = single_linkage(got)
+        assert len(built) <= len(merges) < len(got.values)
+        assert dendro == build_dendrogram(DistanceMatrix(got.labels, got.entries))
+
 
 class TestGrid:
     def test_explicit_normalizes_and_dedupes(self):
