@@ -12,19 +12,18 @@ from fractions import Fraction
 from typing import Iterator
 
 # chain_distance is unused here; bench/replay.py wraps it as dendrogram.chain_distance
-from .metric import _ZERO, DistanceMatrix, chain_distance, single_linkage
+from .metric import _ZERO, DistanceMatrix, _merge_ranks, chain_distance, mask_members
+
+_FLIP = str.maketrans("01", "10")
 
 
-def mask_of(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def mask_members(mask: int) -> tuple[int, ...]:
-    bits = bin(mask)[:1:-1]  # bit i is character i
-    return tuple(i for i, bit in enumerate(bits) if bit == "1")
+def member_order(mask: int) -> tuple[int, str]:
+    """Canonical order of member sets: size, then sorted member indices (so
+    member names, as labels are sorted). The bits are compared undecoded:
+    of two sets of one size, the one holding the least index where they
+    differ comes first, and its flipped bit string, read from bit 0, has
+    a 0 there."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP)
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,6 @@ class Cluster:
 
     members: int
     radius: Fraction
-
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
 
     def contains(self, other: "Cluster") -> bool:
         return other.members & self.members == other.members
@@ -88,24 +83,19 @@ def build_dendrogram(dm: DistanceMatrix) -> Dendrogram:
     """
     radius = dict.fromkeys([1 << i for i in range(dm.n)], _ZERO)
     parent_of: dict[int, int] = {}
-    for value, parts in single_linkage(dm):
-        masks = [mask_of(part) for part in parts]
-        whole = mask_of(x for part in parts for x in part)
+    for r, parts in _merge_ranks(dm):
+        whole, value = sum(parts), Fraction(dm._nums[r], dm._dens[r])
         radius[whole] = value
-        for mask in masks:
-            if value == 0:
-                del radius[mask]
-            else:
+        for mask in parts:
+            if value:
                 parent_of[mask] = whole
-    # canonical order: size, then member names; labels are sorted, so
-    # member indices order as the names do
-    clusters = sorted(
-        (Cluster(m, r) for m, r in radius.items()),
-        key=lambda c: (c.size, mask_members(c.members)),
-    )
-    index = {c.members: i for i, c in enumerate(clusters)}
-    parent = tuple(index.get(parent_of.get(c.members)) for c in clusters)
-    return Dendrogram(dm.labels, tuple(clusters), parent)
+            else:
+                del radius[mask]
+    ordered = sorted(radius, key=member_order)
+    index = {m: i for i, m in enumerate(ordered)}
+    clusters = tuple(Cluster(m, radius[m]) for m in ordered)
+    parent = tuple(index.get(parent_of.get(m)) for m in ordered)
+    return Dendrogram(dm.labels, clusters, parent)
 
 
 def sup_cluster(dendro: Dendrogram, a: str, b: str) -> Cluster:

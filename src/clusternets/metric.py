@@ -281,14 +281,26 @@ def read_matrix(path: str | Path) -> DistanceMatrix:
         raise StructuralError(f"{matrix_name(path)}: {exc}") from None
 
 
-def _merge_ranks(dm: DistanceMatrix) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """`single_linkage` with each merge value given by its rank in `dm.values`."""
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The point indices of a member bitmask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit i is character i
+    return tuple(i for i, bit in enumerate(bits) if bit == "1")
+
+
+def _merge_ranks(dm: DistanceMatrix) -> list[tuple[int, tuple[int, ...]]]:
+    """Exact single-linkage merge history: `(r, parts)` for every component
+    that forms, in ascending rank r of its value in `dm.values`, with
+    `parts` the member bitmasks of the components it joins, in no set
+    order. A tie group is linked whole before anything is recorded, so A-B
+    and B-C at one value give one merge of A, B and C. The pairs are
+    bucketed by their stored rank (a counting sort), so no value is
+    compared again."""
     n = dm.n
     buckets: list[list[int]] = [[] for _ in dm._nums]  # pair codes i*n + j by rank
     for code, r in zip([i * n + j for i in range(n) for j in range(i + 1, n)], dm.ranks):
         buckets[r].append(code)
     parent = list(range(n))
-    members = {i: (i,) for i in range(n)}  # root -> its component's points
+    members = {i: 1 << i for i in range(n)}  # root -> its component's bitmask
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -307,25 +319,13 @@ def _merge_ranks(dm: DistanceMatrix) -> list[tuple[int, tuple[tuple[int, ...], .
             if a != b:
                 parent[a] = b
                 touched.update((a, b))
-        joined: dict[int, list[tuple[int, ...]]] = {}
+        joined: dict[int, list[int]] = {}
         for c in touched:
             joined.setdefault(find(c), []).append(members.pop(c))
         for root, parts in joined.items():
-            merges.append((r, tuple(sorted(parts))))
-            members[root] = tuple(sorted(x for part in parts for x in part))
+            merges.append((r, tuple(parts)))
+            members[root] = sum(parts)
     return merges
-
-
-def single_linkage(dm: DistanceMatrix) -> list[tuple[Fraction, tuple[tuple[int, ...], ...]]]:
-    """Exact single-linkage merge history: `(value, parts)` for every
-    component that forms, in ascending value, with `parts` the sorted
-    point-index tuples of the components it joins. A tie group is linked
-    whole before anything is recorded, so A-B and B-C at one value give one
-    merge of A, B and C. The pairs are bucketed by their stored rank (a
-    counting sort), so no value is compared again; only merge values become
-    Fractions."""
-    nums, dens = dm._nums, dm._dens
-    return [(Fraction(nums[r], dens[r]), parts) for r, parts in _merge_ranks(dm)]
 
 
 def chain_distance(dm: DistanceMatrix) -> DistanceMatrix:
@@ -341,10 +341,11 @@ def chain_distance(dm: DistanceMatrix) -> DistanceMatrix:
     offset = [a * (2 * n - a - 1) // 2 - a - 1 for a in range(n)]
     ranks = [0] * (n * (n - 1) // 2)
     used: list[int] = []  # the input ranks that occur as merge values
-    for r, parts in _merge_ranks(dm):
+    for r, masks in _merge_ranks(dm):
         if not used or used[-1] != r:
             used.append(r)
         rank = len(used) - 1
+        parts = [mask_members(m) for m in masks]
         for k, part in enumerate(parts):
             for other in parts[k + 1 :]:
                 for a in part:

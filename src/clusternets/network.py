@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
-from .dendrogram import Dendrogram, mask_members
+from .dendrogram import Dendrogram, mask_members, member_order
 from .errors import StructuralError
 
 
@@ -132,11 +132,7 @@ def merge_dendrograms(dendros: list[Dendrogram], ids: list[str]) -> ClusterNetwo
         for child, par in dendro.edges:
             key = (dendro.clusters[child].members, dendro.clusters[par].members)
             edge_tags.setdefault(key, set()).add(mid)
-
-    def vertex_key(members: int):
-        return (members.bit_count(), tuple(labels[i] for i in mask_members(members)))
-
-    ordered = sorted(present, key=vertex_key)
+    ordered = sorted(present, key=member_order)
     id_of = {members: i for i, members in enumerate(ordered)}
     vertices = tuple(
         NetworkVertex(
@@ -332,18 +328,22 @@ def dot_style(metric_index: int) -> str:
     return f'style={style}, color={color}'
 
 
+def dot_quoted(text: str) -> str:
+    """text as a DOT quoted string, with backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(net: ClusterNetwork) -> str:
     """DOT export: clusters as nodes, one styled edge line per metric tag."""
     metric_order = sorted(net.metric_ids)
     lines = ["digraph clusters {", "  rankdir=BT;"]
     for v in net.vertices:
-        label = "".join(net.member_names(v))
-        lines.append(f'  n{v.vertex_id} [label="{label}"];')
+        lines.append(f"  n{v.vertex_id} [label={dot_quoted(''.join(net.member_names(v)))}];")
     for e in net.edges:
         for mid in sorted(e.metrics):
             idx = metric_order.index(mid)
             lines.append(
-                f'  n{e.child} -> n{e.parent} [{dot_style(idx)}, tooltip="{mid}"];'
+                f"  n{e.child} -> n{e.parent} [{dot_style(idx)}, tooltip={dot_quoted(mid)}];"
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .dendrogram import mask_members
-from .network import ClusterNetwork, NetworkVertex, chain_to_superball, subfamily
+from .network import ClusterNetwork, NetworkVertex, chain_to_superball, dot_quoted, subfamily
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,8 @@ def skeleton_dot(cx: SimplicialComplex) -> str:
             edges.setdefault(pair, c.metric)
     lines = ["graph skeleton {"]
     for i in sorted({i for c in cx.chains for i in c.vertex_ids}):
-        label = "".join(net.member_names(net.vertices[i]))
-        lines.append(f'  n{i} [label="{label}"];')
+        lines.append(f"  n{i} [label={dot_quoted(''.join(net.member_names(net.vertices[i])))}];")
     for (a, b), metric in sorted(edges.items()):
-        lines.append(f'  n{a} -- n{b} [tooltip="{metric}"];')
+        lines.append(f"  n{a} -- n{b} [tooltip={dot_quoted(metric)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

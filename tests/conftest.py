@@ -46,6 +46,11 @@ def cut(dendro, eps):
     )
 
 
+def mask_of(indices) -> int:
+    """The member bitmask of point indices."""
+    return sum({1 << i for i in indices})
+
+
 def vertex_by_members(net, members: int):
     return next(v for v in net.vertices if v.members == members)
 

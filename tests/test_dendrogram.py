@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusternets import (
     DistanceMatrix,
@@ -10,10 +12,10 @@ from clusternets import (
     chain_distance,
     sup_cluster,
 )
-from clusternets.dendrogram import mask_members
+from clusternets.dendrogram import mask_members, member_order
 
 import oracles
-from conftest import cut
+from conftest import cut, mask_of
 
 F = Fraction
 
@@ -209,3 +211,18 @@ def test_tie_heavy_corpus_matches_threshold_oracle():
             m: None if p is None else members[p] for m, p in zip(members, dendro.parent)
         }
         assert got_parent == parent
+
+
+# indices 0..9 often share a prefix; indices up to 299 give masks of mixed widths
+indices = st.integers(0, 9) | st.integers(0, 299)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 8).flatmap(lambda k: st.lists(st.sets(indices, min_size=k, max_size=k), max_size=12)),
+    st.lists(st.sets(indices, max_size=8), max_size=12),
+)
+def test_member_order_sorts_by_size_then_members(same_size, mixed):
+    masks = [mask_of(s) for s in same_size + mixed]
+    want = sorted(masks, key=lambda m: (m.bit_count(), mask_members(m)))
+    assert sorted(masks, key=member_order) == want

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from clusternets import (
     ClusterNetwork,
     NetworkEdge,
     NetworkVertex,
+    DistanceMatrix,
     StructuralError,
+    build_complex,
     build_dendrogram,
     is_r_ball,
     merge_dendrograms,
@@ -18,10 +21,10 @@ from clusternets import (
     to_json,
     undirected_cycles,
 )
-from clusternets.dendrogram import mask_of
 from clusternets.network import PayloadEncoder
+from clusternets.simplicial import skeleton_dot
 
-from conftest import vertex_by_members
+from conftest import mask_of, vertex_by_members
 
 F = Fraction
 
@@ -303,6 +306,30 @@ class TestSerialization:
         assert dot.startswith("digraph")
         assert "style=solid" in dot and "style=dashed" in dot
         assert '[label="ABC"]' in dot
+
+    @pytest.mark.parametrize(
+        "write",
+        [to_dot, lambda net: skeleton_dot(build_complex(net, net.metric_ids))],
+        ids=["network", "skeleton"],
+    )
+    def test_dot_escapes_labels_and_metric_ids(self, write):
+        # CSV spellings of the labels a"b, c\ and d\"e
+        dm = DistanceMatrix.from_csv(
+            'label,"a""b",c\\,"d\\""e"\n"a""b",0,1,2\nc\\,1,0,3\n"d\\""e",2,3,0\n'
+        )
+        assert dm.labels == ('a"b', "c\\", 'd\\"e')
+        ids = ['m"1', "m\\2"]
+        net = merge_dendrograms([build_dendrogram(dm)] * 2, ids)
+        quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+        found = {"label": set(), "tooltip": set()}
+        for line in write(net).splitlines():
+            assert '"' not in quoted.sub("", line), line
+            for key, value in re.findall(r'(label|tooltip)=("(?:[^"\\]|\\.)*")', line):
+                found[key].add(re.sub(r"\\(.)", r"\1", value[1:-1]))
+        assert found["label"] <= {"".join(net.member_names(v)) for v in net.vertices}
+        assert {'a"b', "c\\", 'd\\"e'} <= found["label"]
+        # a skeleton edge is named by the first metric whose chain holds it
+        assert ids[0] in found["tooltip"] and found["tooltip"] <= set(ids)
 
     def test_repeat_runs_identical(self, net_c1):
         net, _ = net_c1

@@ -15,10 +15,11 @@ from clusternets import (
     sweep,
     to_json,
 )
-from clusternets.metric import single_linkage
+from clusternets import metric
 from clusternets.phylo import load_marker_bundle, load_sweep_spec, weight_id
 
 import oracles
+from conftest import cut
 
 F = Fraction
 
@@ -104,17 +105,6 @@ def spelled_marker(rng, labels, palette):
     return DistanceMatrix(labels, rows)
 
 
-def components_at(merges, n, eps):
-    """Replay a single-linkage history up to threshold eps."""
-    blocks = {(i,) for i in range(n)}
-    for value, parts in merges:
-        if value > eps:
-            break
-        blocks.difference_update(parts)
-        blocks.add(tuple(sorted(x for part in parts for x in part)))
-    return sorted(blocks)
-
-
 class TestCombineOracle:
     def test_integer_combine_matches_fraction_sum(self):
         rng = random.Random(17)
@@ -135,9 +125,9 @@ class TestCombineOracle:
                 want = oracles.combine_by_definition(ms, w)
                 assert [list(row) for row in got.entries] == want
                 assert got == DistanceMatrix(got.labels, want)
-                merges = single_linkage(got)
+                dendro = build_dendrogram(got)
                 for eps in sorted({F(0), *got.values}):
-                    assert components_at(merges, n, eps) == oracles.threshold_components(want, eps)
+                    assert cut(dendro, eps) == oracles.threshold_components(want, eps)
 
     def test_fraction_built_per_distinct_value(self, data_dir, monkeypatch):
         ms = load_marker_bundle(data_dir / "markers_mixed" / "manifest.json")
@@ -169,7 +159,7 @@ class TestCombineOracle:
         got = combine(ms, weights)
         dendro = build_dendrogram(got)
         monkeypatch.undo()
-        merges = single_linkage(got)
+        merges = metric._merge_ranks(got)
         assert len(built) <= len(merges) < len(got.values)
         assert dendro == build_dendrogram(DistanceMatrix(got.labels, got.entries))
 

@@ -15,12 +15,11 @@ from clusternets import (
     network_dimension,
 )
 from clusternets.cli import _network_from_paths
-from clusternets.dendrogram import mask_of
 from clusternets import simplicial
 from clusternets.simplicial import SimplicialComplex, complex_json_dict, skeleton_dot
 
 import oracles
-from conftest import INCOMPAT_1, INCOMPAT_2, vertex_by_members
+from conftest import INCOMPAT_1, INCOMPAT_2, mask_of, vertex_by_members
 
 
 @pytest.fixture
