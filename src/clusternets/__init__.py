@@ -6,51 +6,46 @@ below a dissimilarity) -> dendrograms -> fused cluster networks over metric
 families -> simplicial structure and dimension. The padic module checks the
 correspondence between maximal lattice chains and weighted-max-norm ball
 chains at small (p, d) by exhaustive enumeration.
+
+Importing the package loads none of its modules: each name is imported
+from its module on first use (PEP 562), so code that never uses `padic`
+never loads it.
 """
 
-from .dendrogram import Cluster, Dendrogram, build_dendrogram, sup_cluster
-from .errors import StructuralError
-from .metric import DistanceMatrix, as_fraction, chain_distance
-from .network import (
-    ClusterNetwork,
-    NetworkEdge,
-    NetworkVertex,
-    chain_to_superball,
-    is_r_ball,
-    merge_dendrograms,
-    minimal_common_superball,
-    to_dot,
-    to_json,
-    to_json_dict,
-    undirected_cycles,
-)
-from .padic import (
-    Lattice,
-    LatticeChain,
-    LatticeClass,
-    NormSpec,
-    ball_network,
-    ball_of_radius,
-    basis_from_chain,
-    check_norm_axioms,
-    enumerate_subspaces,
-    flag_count,
-    intermediary_balls,
-    is_adjacent,
-    lattices_between,
-    maximal_chains,
-    norm_from_chain,
-    verify_correspondence,
-)
-from .phylo import MarkerSet, SweepGrid, combine, sweep
-from .simplicial import (
-    CompatibilityReport,
-    DimensionReport,
-    Simplex,
-    SimplicialComplex,
-    build_complex,
-    check_compatibility,
-    network_dimension,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "dendrogram": ("Cluster", "Dendrogram", "build_dendrogram"),
+    "errors": ("StructuralError",),
+    "metric": ("DistanceMatrix", "as_fraction", "chain_distance"),
+    "network": (
+        "ClusterNetwork", "NetworkEdge", "NetworkVertex", "chain_to_superball", "is_r_ball",
+        "merge_dendrograms", "minimal_common_superball", "to_dot", "to_json", "to_json_dict",
+        "undirected_cycles",
+    ),
+    "padic": (
+        "Lattice", "LatticeChain", "LatticeClass", "NormSpec", "ball_network", "ball_of_radius",
+        "basis_from_chain", "check_norm_axioms", "enumerate_subspaces", "flag_count",
+        "intermediary_balls", "is_adjacent", "lattices_between", "maximal_chains",
+        "norm_from_chain", "verify_correspondence",
+    ),
+    "phylo": ("MarkerSet", "SweepGrid", "combine", "sweep"),
+    "simplicial": (
+        "CompatibilityReport", "DimensionReport", "Simplex", "SimplicialComplex",
+        "build_complex", "check_compatibility", "network_dimension",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

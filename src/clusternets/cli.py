@@ -7,7 +7,9 @@ timestamps in the payload), and every JSON payload is written by
 sort_keys=True)`. Run metadata can be emitted to a side file with
 --emit-meta, left only beside a run that exits 0. Exit codes: 0 success, 2
 bad input (a `StructuralError`, the one exception mapped to 2), 3 internal
-invariant violation. Errors go to stderr as one-line JSON.
+invariant violation. Errors go to stderr as one-line JSON. Each subcommand
+imports only the layers it calls: `padic`, `phylo` and `simplicial` load on
+first use (`_bind`), so `dimension` never compiles the p-adic code.
 """
 
 from __future__ import annotations
@@ -16,22 +18,37 @@ import argparse
 import json
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 from .dendrogram import build_dendrogram
 from .errors import StructuralError, reason
 from .metric import matrix_name, read_matrix
 from .network import ClusterNetwork, PayloadEncoder, merge_dendrograms, subfamily, to_dot, to_json
-from .padic import ball_network, default_weights, norm_weights, verify_correspondence
-from .phylo import load_marker_bundle, load_sweep_spec, sweep
-from .simplicial import (
-    build_complex,
-    check_compatibility,
-    complex_json_dict,
-    dimension_json_dict,
-    network_dimension,
-    skeleton_dot,
-)
+
+_LAYERS = {
+    "padic": ("ball_network", "default_weights", "norm_weights", "verify_correspondence"),
+    "phylo": ("load_marker_bundle", "load_sweep_spec", "sweep"),
+    "simplicial": ("build_complex", "check_compatibility", "complex_json_dict",
+                   "dimension_json_dict", "network_dimension", "skeleton_dot"),
+}
+
+
+def _bind(layer: str) -> None:
+    """Import a layer and bind its names here; a name already bound (a
+    wrapper or test double assigned from outside) keeps its value."""
+    module = import_module(f".{layer}", __package__)
+    for name in _LAYERS[layer]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    """A layer's name read from outside before a run bound it (bench/replay.py)."""
+    for layer, names in _LAYERS.items():
+        if name in names:
+            _bind(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _metric_id(path: str, used: set[str]) -> str:
@@ -56,9 +73,16 @@ def _dump(doc: dict) -> str:
 
 
 def _write_file(path: str, text: str) -> None:
+    """A write that fails part way removes the regular file it opened; a path
+    that cannot be opened, or is no regular file, is left as it was."""
+    regular = False
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            regular = Path(path).is_file()
+            f.write(text)
     except OSError as exc:
+        if regular:
+            Path(path).unlink()
         raise StructuralError(f"cannot write {path}: {reason(exc)}") from None
 
 
@@ -77,6 +101,7 @@ def cmd_network(args) -> str:
 
 
 def cmd_complex(args) -> str:
+    _bind("simplicial")
     net = _network_from_paths(args.matrices)
     r = _parse_subfamily(args.r, net)
     cx = build_complex(net, r)
@@ -87,6 +112,7 @@ def cmd_complex(args) -> str:
 
 
 def cmd_dimension(args) -> str:
+    _bind("simplicial")
     net = _network_from_paths(args.matrices)
     r = _parse_subfamily(args.r, net)
     return _dump(dimension_json_dict(network_dimension(net, r), check_compatibility(net)))
@@ -97,6 +123,7 @@ def cmd_padic_verify(args) -> str:
         raise StructuralError(f"precision must be at least 1, got {args.precision}")
     if args.window < 0:
         raise StructuralError(f"window must be at least 0, got {args.window}")
+    _bind("padic")
     try:
         weights = default_weights(args.p, args.d) if args.q is None else args.q.split(",")
         q = norm_weights(args.p, args.d, weights)
@@ -107,6 +134,7 @@ def cmd_padic_verify(args) -> str:
     report = verify_correspondence(args.p, args.d, q)
     report["parameters"]["precision"] = args.precision
     if args.window:
+        _bind("simplicial")
         net = ball_network(args.p, args.d, q, window=args.window)
         report["sampled_network"] = {
             "window": args.window,
@@ -118,6 +146,7 @@ def cmd_padic_verify(args) -> str:
 
 
 def cmd_phylo_sweep(args) -> str:
+    _bind("phylo")
     markers = load_marker_bundle(args.manifest)
     grid = load_sweep_spec(args.sweep_spec, len(markers))
     net = sweep(markers, grid)

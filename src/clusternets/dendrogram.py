@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 # chain_distance is unused here; bench/replay.py wraps it as dendrogram.chain_distance
 from .metric import _ZERO, DistanceMatrix, _merge_ranks, chain_distance, mask_members
@@ -39,9 +38,6 @@ class Cluster:
     members: int
     radius: Fraction
 
-    def contains(self, other: "Cluster") -> bool:
-        return other.members & self.members == other.members
-
 
 @dataclass(frozen=True)
 class Dendrogram:
@@ -64,12 +60,6 @@ class Dendrogram:
 
     def member_names(self, cluster: Cluster) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in mask_members(cluster.members))
-
-    def leaves(self) -> Iterator[int]:
-        parents = {p for p in self.parent if p is not None}
-        for i in range(len(self.clusters)):
-            if i not in parents:
-                yield i
 
 
 def build_dendrogram(dm: DistanceMatrix) -> Dendrogram:
@@ -96,17 +86,3 @@ def build_dendrogram(dm: DistanceMatrix) -> Dendrogram:
     clusters = tuple(Cluster(m, radius[m]) for m in ordered)
     parent = tuple(index.get(parent_of.get(m)) for m in ordered)
     return Dendrogram(dm.labels, clusters, parent)
-
-
-def sup_cluster(dendro: Dendrogram, a: str, b: str) -> Cluster:
-    """The minimal cluster containing both labels; its radius is d(a, b)."""
-    try:
-        ia = dendro.labels.index(a)
-        ib = dendro.labels.index(b)
-    except ValueError as exc:
-        raise LookupError(f"unknown label: {exc}") from None
-    want = (1 << ia) | (1 << ib)
-    for c in dendro.clusters:  # canonical order is size-ascending
-        if c.members & want == want:
-            return c
-    raise AssertionError("root cluster must contain every pair")

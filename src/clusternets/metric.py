@@ -15,11 +15,11 @@ import csv
 import io
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from pathlib import Path
-from typing import Sequence
 
 from .errors import StructuralError, reason
 

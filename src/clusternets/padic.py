@@ -41,13 +41,13 @@ increases (`_covers`), each residue span and each lift's Hermite form.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 from operator import mul, sub
-from typing import Iterable, Sequence
 
 from .dendrogram import build_dendrogram
 from .errors import StructuralError

@@ -322,6 +322,33 @@ def check_tree_of_clusters(member_sets: list[frozenset], n: int) -> None:
             )
 
 
+def sup_cluster(dendro, a: str, b: str):
+    """The minimal cluster of a dendrogram containing both labels; its radius
+    is d(a, b). Found by scanning the clusters in canonical (size-ascending)
+    order."""
+    try:
+        ia = dendro.labels.index(a)
+        ib = dendro.labels.index(b)
+    except ValueError as exc:
+        raise LookupError(f"unknown label: {exc}") from None
+    want = (1 << ia) | (1 << ib)
+    for c in dendro.clusters:
+        if c.members & want == want:
+            return c
+    raise AssertionError("root cluster must contain every pair")
+
+
+def contains(big, small) -> bool:
+    """Cluster `big` holds every member of cluster `small`."""
+    return small.members & big.members == small.members
+
+
+def leaves(dendro) -> list[int]:
+    """Indices of the dendrogram's clusters that are no cluster's parent."""
+    parents = set(dendro.parent)
+    return [i for i in range(len(dendro.clusters)) if i not in parents]
+
+
 def _closure(p: int, points) -> frozenset:
     """The least superset of points closed under addition and scaling in F_p^d."""
     closed = set(points)

@@ -24,7 +24,6 @@ from clusternets import (
     merge_dendrograms,
     network_dimension,
     norm_from_chain,
-    sup_cluster,
     undirected_cycles,
     verify_correspondence,
 )
@@ -159,7 +158,7 @@ def test_c04_clustering_axioms_hold_suite_wide():
             )
         for a in dendro.labels:
             for b in dendro.labels:
-                assert sup_cluster(dendro, a, b).radius == um.get(a, b)
+                assert oracles.sup_cluster(dendro, a, b).radius == um.get(a, b)
     _ok(f"4 clustering axioms on {len(corpus)} dendrograms")
 
 

@@ -2,7 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import resource
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -18,6 +23,17 @@ from clusternets.cli import main
 from clusternets.padic import verify_correspondence
 
 SCHEMAS = Path(clusternets.__file__).parent / "schemas"
+SRC = Path(clusternets.__file__).parents[1]
+
+
+def fresh_python(args, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run `python args` in a new interpreter that imports the package from SRC
+    and writes no bytecode, so nothing the test process imported carries over."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        preexec_fn=preexec_fn, timeout=60,
+    )
 
 
 def schema(name: str) -> Draft202012Validator:
@@ -642,6 +658,109 @@ class TestDeterminismAndMeta:
         code, stdout, err = run(argv + ["--emit-meta", str(meta)], capsys)
         assert code == 2 and not stdout and str(meta) in json.loads(err)["error"]["message"]
         assert not out.exists()
+
+    def test_payload_cut_short_leaves_no_file(self, tmp_path):
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails instead
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+        out, meta = tmp_path / "f.json", tmp_path / "m.json"
+        argv = ["padic-verify", "--p", "2", "--d", "3", "--q", "5/8,3/4,7/8"]
+        proc = fresh_python(
+            ["-m", "clusternets.cli", *argv, "--out", str(out), "--emit-meta", str(meta)],
+            preexec_fn=limit_file_size,
+        )
+        assert proc.returncode == 2 and not proc.stdout
+        assert json.loads(proc.stderr)["error"]["message"] == f"cannot write {out}: File too large"
+        assert not out.exists() and not meta.exists()
+
+    def test_out_that_cannot_be_opened_is_left_in_place(self, data_dir, tmp_path, capsys):
+        (tmp_path / "keep").write_text("kept")
+        code, stdout, err = run(["cluster", str(data_dir / "trio_a.csv"), "--out", str(tmp_path)], capsys)
+        assert code == 2 and not stdout and str(tmp_path) in json.loads(err)["error"]["message"]
+        assert (tmp_path / "keep").read_text() == "kept"
+
+
+LAYERS = {"padic", "phylo", "simplicial"}
+LAYER_RUNS = [
+    (["cluster", "{data}/trio_a.csv"], set()),
+    (["dimension", "{data}/trio_a.csv", "{data}/trio_b.csv"], {"simplicial"}),
+    (["complex", "{data}/trio_a.csv", "{data}/trio_b.csv"], {"simplicial"}),
+    (["phylo-sweep", "{data}/markers/manifest.json", "{data}/markers/sweep_simplex.json"], {"phylo"}),
+    (["padic-verify", "--p", "2", "--d", "2", "--q", "3/5,4/5"], {"padic"}),
+    (["padic-verify", "--p", "2", "--d", "2", "--q", "3/5,4/5", "--window", "1"],
+     {"padic", "simplicial"}),
+]
+LOADED_AFTER = """
+import json, sys
+from clusternets import cli
+{call}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("clusternets."))))
+"""
+
+
+class TestLazyLayers:
+    """Each run imports only the layers its subcommand calls. Checked in a new
+    interpreter, since this process has imported every module."""
+
+    def test_parsing_loads_no_layer(self, data_dir):
+        argvs = [[a.format(data=data_dir) for a in argv] for argv, _ in LAYER_RUNS]
+        call = "for argv in json.loads(sys.argv[1]): cli.build_parser().parse_args(argv)"
+        proc = fresh_python(["-c", LOADED_AFTER.format(call=call), json.dumps(argvs)])
+        assert proc.returncode == 0, proc.stderr
+        assert not {m.split(".")[1] for m in json.loads(proc.stdout)} & LAYERS
+
+    @pytest.mark.parametrize(
+        "argv, layers", LAYER_RUNS, ids=[" ".join(argv[:1] + argv[7:]) for argv, _ in LAYER_RUNS]
+    )
+    def test_run_loads_only_its_layers(self, argv, layers, data_dir, tmp_path):
+        argv = [a.format(data=data_dir) for a in argv] + ["--out", str(tmp_path / "out")]
+        call = "assert cli.main(sys.argv[1:]) == 0"
+        proc = fresh_python(["-c", LOADED_AFTER.format(call=call), *argv])
+        assert proc.returncode == 0, proc.stderr
+        assert {m.split(".")[1] for m in json.loads(proc.stdout)} & LAYERS == layers
+
+    def test_names_assigned_before_the_first_run_are_called(self, data_dir):
+        code = """
+import json, sys
+from clusternets import cli
+def assigned(*args):
+    raise RuntimeError("the assigned name ran")
+cli.check_compatibility = cli.verify_correspondence = cli.sweep = assigned
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+        argvs = [
+            ["dimension", str(data_dir / "trio_a.csv")],
+            ["padic-verify", "--p", "2", "--d", "2", "--q", "3/5,4/5"],
+            ["phylo-sweep", str(data_dir / "markers" / "manifest.json"),
+             str(data_dir / "markers" / "sweep_simplex.json")],
+        ]
+        proc = fresh_python(["-c", code, json.dumps(argvs)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [3, 3, 3]
+        assert proc.stderr.count("RuntimeError: the assigned name ran") == 3
+
+    def test_package_names_resolve_to_their_modules(self):
+        code = """
+import sys
+import clusternets
+assert not [m for m in sys.modules if m.startswith("clusternets.")], "a module was loaded"
+for name in clusternets.__all__:
+    obj = getattr(clusternets, name)
+    assert obj.__module__.startswith("clusternets."), name
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert name in dir(clusternets), name
+try:
+    clusternets.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+print(len(clusternets.__all__))
+"""
+        proc = fresh_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == len(clusternets.__all__) > 40
 
 
 CELLS = st.one_of(
