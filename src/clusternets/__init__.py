@@ -24,10 +24,9 @@ _EXPORTS = {
         "undirected_cycles",
     ),
     "padic": (
-        "Lattice", "LatticeChain", "LatticeClass", "NormSpec", "ball_network", "ball_of_radius",
-        "basis_from_chain", "check_norm_axioms", "enumerate_subspaces", "flag_count",
-        "intermediary_balls", "is_adjacent", "lattices_between", "maximal_chains",
-        "norm_from_chain", "verify_correspondence",
+        "Lattice", "LatticeChain", "LatticeClass", "NormSpec", "ball_network", "basis_from_chain",
+        "enumerate_subspaces", "flag_count", "intermediary_balls", "is_adjacent",
+        "maximal_chains", "norm_from_chain", "verify_correspondence",
     ),
     "phylo": ("MarkerSet", "SweepGrid", "combine", "sweep"),
     "simplicial": (

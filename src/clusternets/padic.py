@@ -21,9 +21,11 @@ A subspace of L/pL = F_p^d is the frozenset of its points, int tuples over
 {0..p-1}, grown by `_span`: `maximal_chains` builds the complete flags by
 inclusion of these sets, and a chain's adapted basis is read off the same
 residue spans. Its lift to a lattice is keyed by its reduced echelon rows
-(`_echelon`). A chain becomes a norm on ints too: `_inverse` (Bareiss), the
-one matrix elimination here, inverts the chain's integer basis into the
-frame, one Fraction per entry, and `NormSpec` inverts the frame's rows once.
+(`_echelon`). A chain becomes a norm with no inversion: the columns of its
+integer adapted basis are the norm's inverse columns, which is all that its
+balls read. `_inverse` (Bareiss), the one matrix elimination here, runs once
+per norm built from a frame, and for a chain's norm only when its frame is
+read. A lattice computes its hash once, when it is built.
 
 `norm_weights` is the one weight rule (p prime, d >= 1, d weights in (1/p, 1]);
 every function here that takes weights reads them through it, and a chain's
@@ -205,13 +207,21 @@ class Lattice:
     The j-th basis vector is `cols[j] / p^scale`: zero above coordinate j,
     p^(a_j) at coordinate j (a_j = exponents[j]), reduced residues below.
     `scale` is the least s >= 0 that makes every entry an integer, so equal
-    lattices have equal (p, cols, scale), and == and hash are structural.
+    lattices have equal (p, cols, scale), and == and hash are structural;
+    the hash is computed once, when the lattice is built.
     """
 
     p: int
     cols: tuple[tuple[int, ...], ...]
     scale: int
     exponents: tuple[int, ...] = field(compare=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.p, self.cols, self.scale)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_basis(cls, p: int, vectors: Iterable[Sequence]) -> "Lattice":
@@ -309,9 +319,6 @@ class Lattice:
     def _combine(self, coeffs: Sequence[int]) -> list[int]:
         """The integer vector sum of coeffs[j] * cols[j], over this scale."""
         return [sum(map(mul, coeffs, row)) for row in zip(*self.cols)]
-
-    def contains_vector(self, vec: Sequence) -> bool:
-        return self._solve(*_cleared(self.p, vec)) is not None
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self._solve(col, other.scale) is not None for col in other.cols)
@@ -427,11 +434,6 @@ def _lift_subspace(lattice: Lattice, rows: tuple[tuple[int, ...], ...]) -> Latti
     return Lattice._hermite(p, vectors)
 
 
-def lattices_between(lattice: Lattice) -> list[Lattice]:
-    """All K with p.L <= K <= L, via subspaces of L/pL (endpoints included)."""
-    return [_lift_subspace(lattice, s) for s in enumerate_subspaces(lattice.p, lattice.dimension)]
-
-
 def is_adjacent(first: Lattice, second: Lattice) -> bool:
     """Building adjacency: some rescaling of one strictly between p.other and other."""
     ra, rb = LatticeClass.of(first).representative, LatticeClass.of(second).representative
@@ -466,47 +468,88 @@ def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
 # ---------------------------------------------------------------------------
 # norms
 
-@dataclass(frozen=True)
+def _integer_frame(p: int, q: Sequence, matrix: Matrix) -> tuple:
+    """(matrix, rows, shift, heaviest_first) for a frame A: `rows` is the
+    integer matrix A.D, with D the lcm of the denominators of A, `shift` is
+    v_p(D), and `heaviest_first` lists the rows by decreasing weight."""
+    d = len(q)
+    flat, den = _over_lcm([x for row in matrix for x in row])
+    rows = tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d))
+    order = sorted(range(d), key=q.__getitem__, reverse=True)  # stable: ties by index
+    return matrix, rows, pval(den, p), tuple(order)
+
+
 class NormSpec:
     """Weighted max-norm N(z) = max_i q_i |(Az)_i|_p with q_i in (1/p, 1].
 
-    Values are decided on integers: `rows` is the integer matrix A.D, with
-    D the lcm of the denominators of A, `shift` is v_p(D), and
-    `heaviest_first` lists the rows by decreasing weight. The frame is
-    inverted once, on those ints (`_inverse`, which rejects a singular A):
-    rows^-1 = Y/e, so A^-1 = D.Y/e, and balls read `inverse_cols`, each
-    column of A^-1 as (Y_j, v_p(e) - shift), the column Y_j / (p^a u) for a
-    unit u. `distance` keeps each value by its difference x - y, evaluated
-    once per norm.
+    Balls read `inverse_cols`, each column of A^-1 as (V_j, a), the column
+    V_j / (p^a u) for a unit u; values are decided on the integer frame
+    (`_integer_frame`). A norm built from its frame A clears it to integer
+    rows = A.D and inverts those once (`_inverse`, which rejects a singular
+    A): rows^-1 = Y/e, so A^-1 = D.Y/e and V_j = Y_j, a = v_p(e) - shift. A
+    chain's norm (`norm_from_chain`) is built from its adapted basis
+    F / p^scale, which is A^-1: V_j = F_j, a = scale. Its frame
+    A = p^scale.F^-1 is derived by one `_inverse` of F when first read: by
+    `eval`, `distance`, `matrix`, ==, hash or repr. A norm is immutable, and
+    == and hash compare (p, q, matrix). `distance` keeps each value by its
+    difference x - y, evaluated once per norm.
     """
 
-    p: int
-    q: tuple[Fraction, ...]
-    matrix: Matrix
-    rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    inverse_cols: tuple[tuple[tuple[int, ...], int], ...] = field(
-        init=False, compare=False, repr=False
-    )
-    shift: int = field(init=False, compare=False, repr=False)
-    heaviest_first: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _values: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    __slots__ = ("p", "q", "inverse_cols", "_frame", "_values")
 
-    def __post_init__(self):
-        if type(self.q) is not _ChainWeights or self.q.p != self.p:
-            object.__setattr__(self, "q", norm_weights(self.p, len(self.q), self.q))
-        d = len(self.q)
-        if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
+    def __init__(self, p: int, q: Sequence, matrix: Matrix):
+        if type(q) is not _ChainWeights or q.p != p:
+            q = norm_weights(p, len(q), q)
+        d = len(q)
+        if len(matrix) != d or any(len(row) != d for row in matrix):
             raise StructuralError("frame matrix shape does not match weights")
-        flat, den = _over_lcm([x for row in self.matrix for x in row])
-        rows = tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d))
-        inv, e = _inverse(rows)
-        shift = pval(den, self.p)
-        a = pval(e, self.p) - shift
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "inverse_cols", tuple((col, a) for col in zip(*inv)))
-        object.__setattr__(self, "shift", shift)
-        order = sorted(range(d), key=self.q.__getitem__, reverse=True)  # stable: ties by index
-        object.__setattr__(self, "heaviest_first", tuple(order))
+        frame = _integer_frame(p, q, matrix)
+        inv, e = _inverse(frame[1])
+        a = pval(e, p) - frame[2]
+        self._set(p, q, tuple((col, a) for col in zip(*inv)), frame)
+
+    @classmethod
+    def _of_basis(
+        cls, p: int, q: _ChainWeights, basis: Iterable[Sequence[int]], scale: int
+    ) -> "NormSpec":
+        """The norm whose frame inverts the basis F / p^scale, F's columns
+        given as integer vectors; q has been read by `_chain_weights`."""
+        norm = object.__new__(cls)
+        norm._set(p, q, tuple((tuple(f), scale) for f in basis), None)
+        return norm
+
+    def _set(self, p: int, q: Sequence, inverse_cols: tuple, frame: tuple | None) -> None:
+        for name, value in zip(self.__slots__, (p, q, inverse_cols, frame, {})):  # in order
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def frame(self) -> tuple:
+        """`_integer_frame` of A; for a chain's norm, F^-1 = Y/e (`_inverse`)
+        gives A = p^scale.Y/e on first read, one Fraction per entry."""
+        if self._frame is None:
+            inv, e = _inverse(list(zip(*(v for v, _ in self.inverse_cols))))
+            s = self.p ** self.inverse_cols[0][1]
+            matrix = tuple(tuple(Fraction(s * y, e) for y in row) for row in inv)
+            object.__setattr__(self, "_frame", _integer_frame(self.p, self.q, matrix))
+        return self._frame
+
+    matrix = property(lambda self: self.frame[0])
+    rows = property(lambda self: self.frame[1])
+    shift = property(lambda self: self.frame[2])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q, self.matrix) == (other.p, other.q, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"NormSpec(p={self.p!r}, q={self.q!r}, matrix={self.matrix!r})"
 
     @property
     def dimension(self) -> int:
@@ -522,12 +565,12 @@ class NormSpec:
         in disjoint ranges: the maximum has the least v_p(w_i), ties going
         to the heaviest weight.
         """
-        p, rows = self.p, self.rows
+        p, (_, rows, shift, heaviest_first) = self.p, self.frame
         if len(z) != len(rows):
             raise StructuralError(f"point of length {len(z)} for dimension {len(rows)}")
         z, e = _over_lcm(z)
         best, arg = None, None
-        for i in self.heaviest_first:
+        for i in heaviest_first:
             w = sum(map(mul, rows[i], z))
             if w == 0:
                 continue
@@ -539,14 +582,14 @@ class NormSpec:
                 best, arg = v, i
         if arg is None:
             return Fraction(0)
-        q, k = self.q[arg], self.shift + pval(e, p) - best
+        q, k = self.q[arg], shift + pval(e, p) - best
         if k >= 0:
             return Fraction(q.numerator * p**k, q.denominator)
         return Fraction(q.numerator, q.denominator * p**-k)
 
     def distance(self, x: Sequence, y: Sequence) -> Fraction:
         # the length and the rule of `_over_lcm` come before the memo: True == 1 as a key
-        d = len(self.rows)
+        d = len(self.q)
         if len(x) != d or len(y) != d:
             raise StructuralError(f"points of length {len(x)} and {len(y)} for dimension {d}")
         if not _EXACT.issuperset(map(type, (*x, *y))):
@@ -557,31 +600,6 @@ class NormSpec:
         except KeyError:
             value = self._values[z] = self.eval(z)
             return value
-
-
-def _min_exponent_with(p: int, q: Fraction, radius: Fraction) -> int:
-    """Smallest v with q.p^(-v) <= radius (q, radius > 0), that is p^v >=
-    num/den with num/den = q/radius, compared on integers."""
-    num, den = q.numerator * radius.denominator, q.denominator * radius.numerator
-    v = 0
-    while p**v * den < num:
-        v += 1
-    while v <= 0 and den >= num * p ** (1 - v):
-        v -= 1
-    return v
-
-
-def ball_of_radius(norm: NormSpec, radius: Fraction | int | str) -> Lattice:
-    """The ball {z : N(z) <= R} around zero, as a lattice.
-
-    In the frame coordinates the bound is coordinatewise: val((Az)_i) must
-    be at least the smallest v_i with q_i p^(-v_i) <= R.
-    """
-    radius = as_fraction(radius)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    ks = [_min_exponent_with(norm.p, qj, radius) for qj in norm.q]
-    return Lattice._hermite(norm.p, [(v, a - k) for (v, a), k in zip(norm.inverse_cols, ks)])
 
 
 def intermediary_balls(norm: NormSpec, lattice: Lattice) -> LatticeChain:
@@ -601,7 +619,7 @@ def intermediary_balls(norm: NormSpec, lattice: Lattice) -> LatticeChain:
     gens = []
     for (v, a), qi in zip(norm.inverse_cols, norm.q):
         coeffs = lattice._solve(v, lattice.scale - e)  # p^e.Z_p^d lies in p^scale.L
-        m = min(pval(x, p) for x in coeffs if x)
+        m = pval(gcd(*coeffs), p)  # the least valuation of a coefficient
         gens.append((m - a, qi, [x // p**m % p for x in coeffs]))
     gens.sort()
     balls, rows = {}, ()
@@ -669,12 +687,11 @@ def norm_from_chain(chain: LatticeChain, q: Sequence) -> NormSpec:
     top lattice reproduces the input chain.
 
     Its frame A inverts the adapted basis F / p^scale, whose columns F_j are
-    integers: with F^-1 = Y / e (`_inverse`), A = p^scale . Y / e."""
+    integers, so its inverse columns are (F_j, scale): no inversion and no
+    Fraction here. The frame itself is derived when first read (`NormSpec`)."""
     top = chain.top
     qs = _chain_weights(top.p, top.dimension, q)
-    inv, e = _inverse(list(zip(*_adapted_basis(chain))))
-    s = top.p**top.scale
-    return NormSpec(top.p, qs, tuple(tuple(Fraction(s * y, e) for y in row) for row in inv))
+    return NormSpec._of_basis(top.p, qs, _adapted_basis(chain), top.scale)
 
 
 def default_weights(p: int, d: int) -> tuple[Fraction, ...]:
@@ -743,61 +760,6 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
             "class at these parameters"
         ),
         "chains": results,
-    }
-
-
-# ---------------------------------------------------------------------------
-# norm axioms
-
-def check_norm_axioms(norm: NormSpec, span: int = 3) -> dict:
-    """Exhaustively test nondegeneracy, scaling, and the strong triangle
-    inequality over representatives (Z/p^span)^d.
-
-    The pair loop compares precomputed value ranks (integers), so the
-    exhaustive strong-triangle pass stays cheap.
-    """
-    p, d = norm.p, norm.dimension
-    size = p**span
-    points = list(product(range(size), repeat=d))
-    violations: list[dict] = []
-    if norm.eval((0,) * d) != 0:
-        violations.append({"axiom": "nondegeneracy", "point": [0] * d})
-    # Sums of two points lie in [0, 2*size-2]^d. Coded in radix 2*size-1
-    # (the code of s is its index in the product order), code(x + y) is
-    # code(x) + code(y), since no digit carries.
-    radix = 2 * size - 1
-    values = [norm.eval(s) for s in product(range(radix), repeat=d)]
-    codes = [sum(c * radix ** (d - 1 - k) for k, c in enumerate(x)) for x in points]
-    for x, code in zip(points, codes):
-        if code == 0:
-            continue
-        vx = values[code]
-        if vx <= 0:
-            violations.append({"axiom": "nondegeneracy", "point": list(x)})
-        if norm.eval(tuple(c * p for c in x)) != vx / p:
-            violations.append({"axiom": "scaling", "point": list(x), "factor": p})
-        if norm.eval(tuple(Fraction(c, p) for c in x)) != vx * p:
-            violations.append({"axiom": "scaling", "point": list(x), "factor": f"1/{p}"})
-        for unit in range(2, p):
-            if norm.eval(tuple(c * unit for c in x)) != vx:
-                violations.append({"axiom": "scaling", "point": list(x), "factor": unit})
-    ranking = {val: i for i, val in enumerate(sorted(set(values)))}
-    ranks = [ranking[v] for v in values]
-    point_ranks = [ranks[c] for c in codes]
-    n = len(points)
-    for i in range(n):
-        ci, ri = codes[i], point_ranks[i]
-        for j in range(i, n):
-            rj = point_ranks[j]
-            if ranks[ci + codes[j]] > (ri if ri >= rj else rj):
-                violations.append(
-                    {"axiom": "strong_triangle", "x": list(points[i]), "y": list(points[j])}
-                )
-    return {
-        "points_checked": n,
-        "pairs_checked": n * (n + 1) // 2,
-        "ok": not violations,
-        "violations": violations[:20],
     }
 
 

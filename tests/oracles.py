@@ -8,7 +8,10 @@ fusion code: it judges how a window's points and norm values are formed.
 norms and its Hermite forms: it judges the round trip that the library
 decides on residues in L/pL, by comparing canonical forms instead.
 `matrix_by_fractions` reuses `as_fraction` and `_from_ranks`: it judges how
-the matrix reader parses, checks and sorts cells.
+the matrix reader parses, checks and sorts cells. `contains_vector`,
+`lattices_between`, `ball_of_radius` and `check_norm_axioms` (the judge of
+C08) run on the library's integer lattices and norms; no code of the
+package calls them, so they live here.
 """
 
 from __future__ import annotations
@@ -566,6 +569,98 @@ def adapted_basis_by_definition(chain):
 
 
 # ---------------------------------------------------------------------------
+# lattice and norm helpers that only the tests use, on the library's ints
+
+
+def contains_vector(lattice, vec) -> bool:
+    """Whether the vector lies in the lattice, its entries read as the library reads them."""
+    return lattice._solve(*padic._cleared(lattice.p, vec)) is not None
+
+
+def lattices_between(lattice):
+    """All K with p.L <= K <= L, via subspaces of L/pL (endpoints included)."""
+    subspaces = padic.enumerate_subspaces(lattice.p, lattice.dimension)
+    return [padic._lift_subspace(lattice, s) for s in subspaces]
+
+
+def min_exponent_with(p: int, q: Fraction, radius: Fraction) -> int:
+    """Smallest v with q.p^(-v) <= radius (q, radius > 0), that is p^v >=
+    num/den with num/den = q/radius, compared on integers."""
+    num, den = q.numerator * radius.denominator, q.denominator * radius.numerator
+    v = 0
+    while p**v * den < num:
+        v += 1
+    while v <= 0 and den >= num * p ** (1 - v):
+        v -= 1
+    return v
+
+
+def ball_of_radius(norm, radius):
+    """The ball {z : N(z) <= R} around zero, as a lattice.
+
+    In the frame coordinates the bound is coordinatewise: val((Az)_i) must
+    be at least the smallest v_i with q_i p^(-v_i) <= R.
+    """
+    radius = as_fraction(radius)
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    ks = [min_exponent_with(norm.p, qj, radius) for qj in norm.q]
+    return padic.Lattice._hermite(norm.p, [(v, a - k) for (v, a), k in zip(norm.inverse_cols, ks)])
+
+
+def check_norm_axioms(norm, span: int = 3) -> dict:
+    """Exhaustively test nondegeneracy, scaling, and the strong triangle
+    inequality over representatives (Z/p^span)^d.
+
+    The pair loop compares precomputed value ranks (integers), so the
+    exhaustive strong-triangle pass stays cheap.
+    """
+    p, d = norm.p, norm.dimension
+    size = p**span
+    points = list(product(range(size), repeat=d))
+    violations: list[dict] = []
+    if norm.eval((0,) * d) != 0:
+        violations.append({"axiom": "nondegeneracy", "point": [0] * d})
+    # Sums of two points lie in [0, 2*size-2]^d. Coded in radix 2*size-1
+    # (the code of s is its index in the product order), code(x + y) is
+    # code(x) + code(y), since no digit carries.
+    radix = 2 * size - 1
+    values = [norm.eval(s) for s in product(range(radix), repeat=d)]
+    codes = [sum(c * radix ** (d - 1 - k) for k, c in enumerate(x)) for x in points]
+    for x, code in zip(points, codes):
+        if code == 0:
+            continue
+        vx = values[code]
+        if vx <= 0:
+            violations.append({"axiom": "nondegeneracy", "point": list(x)})
+        if norm.eval(tuple(c * p for c in x)) != vx / p:
+            violations.append({"axiom": "scaling", "point": list(x), "factor": p})
+        if norm.eval(tuple(Fraction(c, p) for c in x)) != vx * p:
+            violations.append({"axiom": "scaling", "point": list(x), "factor": f"1/{p}"})
+        for unit in range(2, p):
+            if norm.eval(tuple(c * unit for c in x)) != vx:
+                violations.append({"axiom": "scaling", "point": list(x), "factor": unit})
+    ranking = {val: i for i, val in enumerate(sorted(set(values)))}
+    ranks = [ranking[v] for v in values]
+    point_ranks = [ranks[c] for c in codes]
+    n = len(points)
+    for i in range(n):
+        ci, ri = codes[i], point_ranks[i]
+        for j in range(i, n):
+            rj = point_ranks[j]
+            if ranks[ci + codes[j]] > (ri if ri >= rj else rj):
+                violations.append(
+                    {"axiom": "strong_triangle", "x": list(points[i]), "y": list(points[j])}
+                )
+    return {
+        "points_checked": n,
+        "pairs_checked": n * (n + 1) // 2,
+        "ok": not violations,
+        "violations": violations[:20],
+    }
+
+
+# ---------------------------------------------------------------------------
 # the chain -> norm -> ball chain round trip, decided by Hermite forms
 
 
@@ -585,7 +680,9 @@ def adapted_basis_by_hermite(chain):
 
 
 def norm_from_chain_by_hermite(chain, q):
-    """The norm that inverts `adapted_basis_by_hermite`, as `padic.norm_from_chain`."""
+    """The norm whose frame inverts `adapted_basis_by_hermite`, built from that
+    frame (`padic.NormSpec(p, q, matrix)`), where `padic.norm_from_chain`
+    builds it from the basis: F^-1 = Y / e, A = p^scale . Y / e."""
     top = chain.top
     qs = padic.norm_weights(top.p, top.dimension, q)
     inv, e = padic._inverse(list(zip(*adapted_basis_by_hermite(chain))))
@@ -597,19 +694,19 @@ def ball_radius_by_hermite(norm, lattice):
     """Smallest R with ball(R) = L, or None when L is not an N-ball: R is the
     largest norm of L's basis, and ball(R) must have L's canonical form."""
     r = max(norm.eval(col) for col in lattice.cols) * lattice.p**lattice.scale
-    return r if padic.ball_of_radius(norm, r) == lattice else None
+    return r if ball_of_radius(norm, r) == lattice else None
 
 
 def intermediary_balls_by_hermite(norm, lattice):
     """ball(R/p) = p.L, the ball of each value q_i.p^(-k_i) in (R/p, R)
-    (`padic.ball_of_radius`, a Hermite form each), then L = ball(R)."""
+    (`ball_of_radius`, a Hermite form each), then L = ball(R)."""
     radius = ball_radius_by_hermite(norm, lattice)
     if radius is None:
         raise ValueError("lattice is not a ball of this norm")
     p = norm.p
-    values = {qi * Fraction(p) ** -padic._min_exponent_with(p, qi, radius) for qi in norm.q}
+    values = {qi * Fraction(p) ** -min_exponent_with(p, qi, radius) for qi in norm.q}
     radii = sorted(values - {radius} | {radius / p})
-    return padic.LatticeChain((*(padic.ball_of_radius(norm, r) for r in radii), lattice))
+    return padic.LatticeChain((*(ball_of_radius(norm, r) for r in radii), lattice))
 
 
 def round_trip_by_hermite(chain, q) -> bool:

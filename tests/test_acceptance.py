@@ -15,11 +15,9 @@ from clusternets import (
     build_complex,
     build_dendrogram,
     chain_distance,
-    check_norm_axioms,
     flag_count,
     intermediary_balls,
     is_adjacent,
-    lattices_between,
     maximal_chains,
     merge_dendrograms,
     network_dimension,
@@ -168,7 +166,7 @@ def test_c05_lattice_and_chain_counts_match_oracle():
     for (p, d), (between, chains) in expected.items():
         std = Lattice.standard(p, d)
         strict = [
-            k for k in lattices_between(std) if k not in (std, std.dilate(1))
+            k for k in oracles.lattices_between(std) if k not in (std, std.dilate(1))
         ]
         assert len(strict) == between
         found = maximal_chains(std)
@@ -218,7 +216,7 @@ def test_c08_norm_axioms_exhaustive():
     """Nondegeneracy, scaling, strong triangle over (Z/p^3)^d, every norm."""
     norms = _suite_norms()
     for norm in norms:
-        report = check_norm_axioms(norm, span=3)
+        report = oracles.check_norm_axioms(norm, span=3)
         assert report["ok"], report["violations"][:3]
     _ok(f"8 norm axioms exhaustive over (Z/p^3)^d on {len(norms)} norms")
 
@@ -299,7 +297,7 @@ def test_c13_adjacency_is_subspace_incidence():
     """Between p.L and L, adjacency is containment; L is adjacent to each, not to p^k.L."""
     for p, d in Q_BY_CASE:
         std = Lattice.standard(p, d)
-        strict = [k for k in lattices_between(std) if k not in (std, std.dilate(1))]
+        strict = [k for k in oracles.lattices_between(std) if k not in (std, std.dilate(1))]
         for i, first in enumerate(strict):
             assert is_adjacent(first, std) and is_adjacent(std, first)
             for second in strict[i + 1 :]:

@@ -194,6 +194,18 @@ class TestComplexAndDimension:
         assert code == 2 and not out
         assert json.loads(err)["error"]["message"].endswith("; available: ['trio_a']")
 
+    def test_repeated_file_name_gets_a_numbered_metric_id(self, data_dir, tmp_path, capsys):
+        paths = []
+        for folder, source in (("a", "trio_a.csv"), ("b", "trio_b.csv")):
+            (tmp_path / folder).mkdir()
+            paths.append(str(shutil.copy(data_dir / source, tmp_path / folder / "x.csv")))
+        code, out, err = run(["dimension", *paths, "--r", "nope"], capsys)
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["message"].endswith("; available: ['x', 'x.1']")
+        for r, overall in (("x", 1), ("x.1", 1), ("x,x.1", 2)):
+            code, out, _ = run(["dimension", *paths, "--r", r], capsys)
+            assert code == 0 and json.loads(out)["dimension"]["overall"] == overall, r
+
     def test_incompatible_family_warning_block(self, data_dir, capsys):
         code, out, _ = run(
             [
@@ -454,6 +466,34 @@ class TestPhyloSweep:
         code, out, err = run(["phylo-sweep", str(manifest_path), str(spec_path)], capsys)
         assert code == 2 and not out
         assert json.loads(err)["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"weights": [[1, 1]]}, 'sweep spec must contain {"grid": {"type": ...}}'),
+            (
+                {"grid": {"type": "explicit", "weights": []}},
+                "explicit grid needs a nonempty weights list",
+            ),
+            (
+                {"grid": {"type": "explicit", "weights": [[1, 1], [1, 2, 3]]}},
+                "weight row [Fraction(1, 1), Fraction(2, 1), Fraction(3, 1)]"
+                " has 3 entries for 2 markers",
+            ),
+            ({"grid": {"type": "hexagonal", "resolution": 2}}, "unknown grid type 'hexagonal'"),
+        ],
+        ids=["no-grid", "empty-weights", "row-length", "unknown-type"],
+    )
+    def test_sweep_spec_refusals_exit_2_with_one_json_line(
+        self, spec, message, data_dir, tmp_path, capsys
+    ):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        manifest = data_dir / "markers" / "manifest.json"
+        code, out, err = run(["phylo-sweep", str(manifest), str(spec_path)], capsys)
+        assert code == 2 and not out
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": {"code": 2, "kind": "input", "message": message}}
 
 
 # SHA-256 of payloads on tests/data, captured before the single-linkage pass

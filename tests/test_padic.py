@@ -13,14 +13,11 @@ from clusternets import (
     NormSpec,
     StructuralError,
     ball_network,
-    ball_of_radius,
     basis_from_chain,
-    check_norm_axioms,
     enumerate_subspaces,
     flag_count,
     intermediary_balls,
     is_adjacent,
-    lattices_between,
     maximal_chains,
     network_dimension,
     norm_from_chain,
@@ -163,7 +160,7 @@ def test_frame_and_basis_entries_follow_the_literal_rule(entry, message):
     calls = (
         lambda: NormSpec(2, Q22, ((entry, 0), (0, 1))),
         lambda: Lattice.from_basis(2, [(entry, 0), (0, 1)]),
-        lambda: Lattice.standard(2, 2).contains_vector((entry, 0)),
+        lambda: oracles.contains_vector(Lattice.standard(2, 2), (entry, 0)),
     )
     for call in calls:
         with pytest.raises(StructuralError, match=message):
@@ -219,8 +216,8 @@ def test_string_entries_are_read_as_rationals():
     assert NormSpec(2, Q22, (("1/2", 0), (0, 1))).rows == ((1, 0), (0, 2))
     half = Lattice.from_basis(2, [(F(1, 2), 0), (0, 1)])
     assert Lattice.from_basis(2, [("1/2", 0), (0, "1")]) == half
-    assert Lattice.standard(2, 2).contains_vector(("2/3", 0))
-    assert not Lattice.standard(2, 2).contains_vector(("1/2", 0))
+    assert oracles.contains_vector(Lattice.standard(2, 2), ("2/3", 0))
+    assert not oracles.contains_vector(Lattice.standard(2, 2), ("1/2", 0))
     norm = diag_norm(2, Q22)
     want = oracles.norm_by_definition(norm, (F(1, 2), -1))
     for memo in ("cold", "warm"):
@@ -333,31 +330,81 @@ class TestNormKernelAgainstDefinition:
         chain = maximal_chains(Lattice.standard(2, 3))[5]
         calls.clear()
         norm = norm_from_chain(chain, Q23)
+        assert calls == []  # the chain's norm holds its basis, not its frame
         fs = basis_from_chain(chain)
         frame = tuple(tuple(f[i] for f in fs) for i in range(3))
-        # the integer adapted basis (scale 0 on the standard lattice), then the norm's rows
-        assert [tuple(map(tuple, rows)) for rows in calls] == [frame, norm.rows]
-        assert all(type(x) is int for rows in calls for row in rows for x in row)
+        assert [v for v, _ in norm.inverse_cols] == list(zip(*frame)) and calls == []
         assert norm.matrix == oracles.inverse_by_definition(frame)
+        # the integer adapted basis (scale 0 on the standard lattice), once, when the frame is read
+        assert [tuple(map(tuple, rows)) for rows in calls] == [frame]
+        assert all(type(x) is int for rows in calls for row in rows for x in row)
+        assert norm.rows and norm.shift == 0 and norm.eval((1, 0, 0)) and len(calls) == 1
+
+
+class TestChainNormFrame:
+    """A chain's norm is built from its adapted basis; its frame is derived by
+    one `_inverse` when first read, and equals the frame-built norm's."""
+
+    READS = (  # each, read first, derives the frame
+        lambda got, want: repr(got) == repr(want),
+        lambda got, want: hash(got) == hash(want),
+        lambda got, want: got == want,
+        lambda got, want: got.matrix == want.matrix,
+        lambda got, want: got.eval((1,) * want.dimension) == want.eval((1,) * want.dimension),
+        lambda got, want: got.distance((3,) * want.dimension, (1,) * want.dimension)
+        == want.eval((2,) * want.dimension),
+    )
+
+    @pytest.mark.parametrize("p, d, q", [(2, 3, Q23), (3, 2, Q32)], ids=["2-3", "3-2"])
+    def test_frame_once_read_is_the_frame_built_norm(self, monkeypatch, p, d, q):
+        calls = []
+        invert = padic._inverse
+
+        def counted(rows):
+            calls.append(rows)
+            return invert(rows)
+
+        monkeypatch.setattr(padic, "_inverse", counted)
+        std, reads, chains = Lattice.standard(p, d), self.READS, 0
+        for top in (std, std.dilate(-1)):  # scale 0, then scale 1
+            for k, chain in enumerate(maximal_chains(top)):
+                want = oracles.norm_from_chain_by_hermite(chain, q)  # p^scale.Y/e, from its frame
+                calls.clear()
+                got = norm_from_chain(chain, q)
+                assert calls == [] and [a for _, a in got.inverse_cols] == [top.scale] * d
+                assert reads[k % len(reads)](got, want) and len(calls) == 1, k
+                assert got.matrix == want.matrix and got.rows == want.rows
+                assert got.shift == want.shift and got.q == want.q
+                assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+                assert all(read(got, want) for read in reads) and len(calls) == 1, k
+                # the basis columns over p^scale are A^-1, exactly
+                inverse = oracles.inverse_by_definition(got.matrix)
+                assert [[F(x, p**a) for x in v] for v, a in got.inverse_cols] == [
+                    list(col) for col in zip(*inverse)
+                ]
+                chains += 1
+        assert chains == 2 * flag_count(p, d)
+        with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
+            got.p = 3  # norms are immutable, as their hash needs
 
 
 class TestBallOfRadius:
     def test_unit_weights_radius_one_standard(self):
         n = NormSpec(3, (F(1), F(1)), identity_matrix(2))
-        assert ball_of_radius(n, 1) == Lattice.standard(3, 2)
+        assert oracles.ball_of_radius(n, 1) == Lattice.standard(3, 2)
 
     def test_intermediate_ball(self):
-        got = ball_of_radius(diag_norm(2, Q22), F(3, 5))
+        got = oracles.ball_of_radius(diag_norm(2, Q22), F(3, 5))
         assert got == Lattice.from_basis(2, [(1, 0), (0, 2)])
 
     def test_radius_scaled_by_inverse_p_dilates(self):
         n = diag_norm(2, Q22)
         for r in (F(4, 5), F(3, 5), F(7, 10)):
-            assert ball_of_radius(n, r / 2) == ball_of_radius(n, r).dilate(1)
+            assert oracles.ball_of_radius(n, r / 2) == oracles.ball_of_radius(n, r).dilate(1)
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
-            ball_of_radius(diag_norm(2, Q22), 0)
+            oracles.ball_of_radius(diag_norm(2, Q22), 0)
 
     def test_balls_never_invert_the_frame(self, monkeypatch):
         chain = maximal_chains(Lattice.standard(2, 3))[5]
@@ -367,7 +414,7 @@ class TestBallOfRadius:
             raise AssertionError("frame inverted again")
 
         monkeypatch.setattr(padic, "_inverse", no_inverse)
-        assert ball_of_radius(norms[0], F(4, 5)).contains_vector((0, 1))
+        assert oracles.contains_vector(oracles.ball_of_radius(norms[0], F(4, 5)), (0, 1))
         assert intermediary_balls(norms[1], chain.top) == chain
 
 
@@ -408,7 +455,7 @@ class TestIntermediaryBalls:
     def test_chain_of_rotated_norm_ball(self):
         frame = ((F(1), F(1)), (F(0), F(1)))
         n = NormSpec(2, Q22, frame)
-        top = ball_of_radius(n, F(4, 5))
+        top = oracles.ball_of_radius(n, F(4, 5))
         chain = intermediary_balls(n, top)
         assert len(chain.lattices) == 3
         assert chain.lattices[0] == top.dilate(1)
@@ -427,9 +474,9 @@ class TestIntermediaryBalls:
             radius = F(rng.randint(1, 20), rng.randint(1, 20))
             for frame in (identity_matrix(d), chain_frame):
                 norm = NormSpec(p, q, frame)
-                top = ball_of_radius(norm, radius)
+                top = oracles.ball_of_radius(norm, radius)
                 balls = [
-                    k for k in lattices_between(top)
+                    k for k in oracles.lattices_between(top)
                     if oracles.ball_radius_by_hermite(norm, k) is not None
                 ]
                 balls.sort(key=lambda k: sum(k.exponents), reverse=True)
@@ -478,10 +525,10 @@ class TestLatticeCanonicalForm:
 
     def test_membership(self):
         lat = Lattice.from_basis(2, [(1, 1), (0, 2)])
-        assert lat.contains_vector((1, 1))
-        assert lat.contains_vector((1, 3))
-        assert not lat.contains_vector((0, 1))
-        assert not lat.contains_vector((F(1, 2), 0))
+        assert oracles.contains_vector(lat, (1, 1))
+        assert oracles.contains_vector(lat, (1, 3))
+        assert not oracles.contains_vector(lat, (0, 1))
+        assert not oracles.contains_vector(lat, (F(1, 2), 0))
 
 
 def hermite_entry(rng, p):
@@ -546,7 +593,7 @@ class TestHermiteAgainstDefinition:
                     vec = [sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(d)]
                     vec = [str(x) if rng.randrange(3) == 0 else x for x in vec]
                     member = oracles.member_by_definition(p, basis, vec)
-                    assert lat.contains_vector(vec) == member, (vectors, vec)
+                    assert oracles.contains_vector(lat, vec) == member, (vectors, vec)
                     outcomes[member] += 1
                 for other in (previous, lat.dilate(1), lat.dilate(-1)):
                     if other is not None:
@@ -642,7 +689,7 @@ class TestOncePerRun:
 class TestCounting:
     @pytest.mark.parametrize("p,d,strict", [(2, 2, 3), (3, 2, 4), (2, 3, 14)])
     def test_lattices_between_counts(self, p, d, strict):
-        lats = lattices_between(Lattice.standard(p, d))
+        lats = oracles.lattices_between(Lattice.standard(p, d))
         lat = Lattice.standard(p, d)
         strictly = [k for k in lats if k != lat and k != lat.dilate(1)]
         assert len(strictly) == strict
@@ -706,7 +753,7 @@ class TestCounting:
 
     def test_lattices_between_are_distinct_and_nested(self):
         std = Lattice.standard(2, 3)
-        lats = lattices_between(std)
+        lats = oracles.lattices_between(std)
         assert len(set(lats)) == len(lats)
         dilated = std.dilate(1)
         for k in lats:
@@ -716,7 +763,7 @@ class TestCounting:
 class TestAdjacency:
     def test_intermediaries_are_adjacent(self):
         std = Lattice.standard(2, 2)
-        for k in lattices_between(std):
+        for k in oracles.lattices_between(std):
             if k != std and k != std.dilate(1):
                 assert is_adjacent(std, k)
                 assert is_adjacent(k, std)
@@ -754,7 +801,7 @@ def independent_decomposition_check(chain, fs):
             assert [x != 0 for x in coords] == [t == i for t in range(d)]
             needed = 0 if i < j else 1
             scaled = tuple(x * p**needed for x in f)
-            assert lat.contains_vector(scaled), (j, i)
+            assert oracles.contains_vector(lat, scaled), (j, i)
         for col in oracles.lattice_basis(lat):
             coords = mat_vec(inv, col)
             for i, c in enumerate(coords):
@@ -1051,8 +1098,8 @@ class TestRoundTripOnResidues:
             pool = [F(rng.randint(den // p + 1, den), den) for den in dens]
             q = tuple(rng.choice(pool) for _ in range(d))
             norm = NormSpec(p, q, rng.choice(frames))
-            top = ball_of_radius(norm, F(rng.randint(1, 20), rng.randint(1, 20)))
-            for lat in [*lattices_between(top), top.dilate(-1), Lattice.standard(p, d)]:
+            top = oracles.ball_of_radius(norm, F(rng.randint(1, 20), rng.randint(1, 20)))
+            for lat in [*oracles.lattices_between(top), top.dilate(-1), Lattice.standard(p, d)]:
                 decided += 1
                 if oracles.ball_radius_by_hermite(norm, lat) is None:
                     with pytest.raises(ValueError, match="not a ball"):
@@ -1078,17 +1125,25 @@ def swap_into_previous(j):
     return corrupted
 
 
-def scale_one_inverse_column(power):
-    """`NormSpec.__post_init__` with its first inverse column c_1 replaced by
+def scale_one_inverse_column(monkeypatch, power):
+    """Every `NormSpec`, built from a frame (`__init__`) or from a chain's
+    basis (`_of_basis`), with its first inverse column c_1 replaced by
     p^power.c_1, so the inverse columns are not a basis of L."""
-    post_init = NormSpec.__post_init__
+    init, of_basis = NormSpec.__init__, NormSpec._of_basis.__func__
 
-    def corrupted(self):
-        post_init(self)
-        (v, a), *rest = self.inverse_cols
-        object.__setattr__(self, "inverse_cols", ((v, a - power), *rest))
+    def corrupt(norm):
+        (v, a), *rest = norm.inverse_cols
+        object.__setattr__(norm, "inverse_cols", ((v, a - power), *rest))
+        return norm
 
-    return corrupted
+    def corrupted_init(norm, *args):
+        init(norm, *args)
+        corrupt(norm)
+
+    monkeypatch.setattr(NormSpec, "__init__", corrupted_init)
+    monkeypatch.setattr(
+        NormSpec, "_of_basis", classmethod(lambda cls, *args: corrupt(of_basis(cls, *args)))
+    )
 
 
 class TestRoundTripMutations:
@@ -1107,7 +1162,7 @@ class TestRoundTripMutations:
     @pytest.mark.parametrize("power", [1, -1, 2])
     def test_inverse_columns_not_a_basis(self, monkeypatch, power):
         chains = maximal_chains(Lattice.standard(2, 3))
-        monkeypatch.setattr(NormSpec, "__post_init__", scale_one_inverse_column(power))
+        scale_one_inverse_column(monkeypatch, power)
         report = verify_correspondence(2, 3, Q23)
         assert not report["all_passed"] and report["round_trips_passed"] == 0
         assert not any(entry["round_trip_ok"] for entry in report["chains"])
@@ -1121,13 +1176,38 @@ class TestRoundTripMutations:
 
 class TestNormAxioms:
     def test_diagonal_norm_axioms_small_window(self):
-        rep = check_norm_axioms(diag_norm(2, Q22), span=2)
+        rep = oracles.check_norm_axioms(diag_norm(2, Q22), span=2)
         assert rep["ok"], rep["violations"][:3]
 
     def test_rotated_norm_axioms(self):
         frame = ((F(1), F(1)), (F(0), F(1)))
-        rep = check_norm_axioms(NormSpec(2, Q22, frame), span=2)
+        rep = oracles.check_norm_axioms(NormSpec(2, Q22, frame), span=2)
         assert rep["ok"], rep["violations"][:3]
+
+    @pytest.mark.parametrize(
+        "axiom, broken",
+        [
+            # a seminorm: blind to the first coordinate, so N(e_1) = 0
+            ("nondegeneracy", lambda evaluate, norm, z: evaluate(norm, (0, *z[1:]))),
+            # monotone in N, so still ultrametric, but N(p.z) = N(z)^2 / p^2
+            ("scaling", lambda evaluate, norm, z: evaluate(norm, z) ** 2),
+            # homogeneous and nondegenerate, but a sum of two norms is no ultrametric
+            (
+                "strong_triangle",
+                lambda evaluate, norm, z: evaluate(norm, z) + evaluate(norm, z[::-1]),
+            ),
+        ],
+        ids=["nondegeneracy", "scaling", "strong-triangle"],
+    )
+    @pytest.mark.parametrize("p, d, q", [(2, 3, Q23), (3, 2, Q32)], ids=["2-3", "3-2"])
+    def test_the_judge_reports_each_broken_axiom(self, monkeypatch, axiom, broken, p, d, q):
+        """The judge of C08, on chain norms whose `eval` breaks one axiom each."""
+        norm = norm_from_chain(maximal_chains(Lattice.standard(p, d))[-1], q)
+        assert oracles.check_norm_axioms(norm, span=2)["ok"]
+        evaluate = NormSpec.eval
+        monkeypatch.setattr(NormSpec, "eval", lambda norm, z: broken(evaluate, norm, tuple(z)))
+        rep = oracles.check_norm_axioms(norm, span=2)
+        assert not rep["ok"] and {v["axiom"] for v in rep["violations"]} == {axiom}, rep
 
     @given(
         st.tuples(small_fractions, small_fractions),
