@@ -232,6 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.emit_meta == "-":
             raise StructuralError("--emit-meta needs a file path; - is not one")
+        if args.emit_meta and args.out not in (None, "-") and (
+            Path(args.out).resolve() == Path(args.emit_meta).resolve()
+        ):
+            raise StructuralError(f"--out and --emit-meta name one file: {args.out}")
         payload = args.func(args)
         if args.emit_meta:
             meta = {"tool": "clusternets", "argv": argv, "unix_time": time.time()}

@@ -181,12 +181,6 @@ class DistanceMatrix:
     def n(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise LookupError(f"unknown label {label!r}") from None
-
     @property
     def values(self) -> tuple[Fraction, ...]:
         """The distinct off-diagonal values in ascending order, built on first use."""
@@ -206,9 +200,6 @@ class DistanceMatrix:
                     row[j] = rows[j][i] = values[next(pairs)]
             object.__setattr__(self, "_entries", tuple(map(tuple, rows)))
         return self._entries
-
-    def get(self, a: str, b: str) -> Fraction:
-        return self.entries[self.index(a)][self.index(b)]
 
     def __eq__(self, other) -> bool:
         return (

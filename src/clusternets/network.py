@@ -39,12 +39,6 @@ class NetworkVertex:
         """The metrics this cluster is a ball of: the keys of its radii."""
         return frozenset(mid for mid, _ in self.radius_by_metric)
 
-    def radius(self, metric_id: str) -> Fraction:
-        for mid, r in self.radius_by_metric:
-            if mid == metric_id:
-                return r
-        raise LookupError(f"vertex not present in metric {metric_id!r}")
-
 
 @dataclass(frozen=True)
 class NetworkEdge:
@@ -277,14 +271,15 @@ def to_json_dict(net: ClusterNetwork) -> dict:
 
 class PayloadEncoder(json.JSONEncoder):
     """`json.JSONEncoder`'s bytes for str keys and str, int, bool, None, list,
-    tuple and dict values, one string per container. A dict met twice at one
-    depth keeps its text for later copies there: producers may share dicts."""
+    tuple and dict values, one string per container; any other value gets
+    `JSONEncoder.default`'s TypeError. A dict met twice at one depth keeps
+    its text for later copies there: producers may share dicts."""
 
     def encode(self, o) -> str:
         if self.indent is None:
             return super().encode(o)
         step = " " * self.indent if isinstance(self.indent, int) else self.indent
-        seen, texts, made = set(), {}, []  # `made` keeps what `default` returns alive: ids stay unique
+        seen, texts = set(), {}
 
         def enc(o, pad: str) -> str:  # pad: a newline and this depth's indentation
             if isinstance(o, str):
@@ -297,8 +292,7 @@ class PayloadEncoder(json.JSONEncoder):
             if isinstance(o, (list, tuple)):
                 return "[" + inner + sep.join([enc(x, inner) for x in o]) + pad + "]" if o else "[]"
             if not isinstance(o, dict):
-                made.append(self.default(o))
-                return enc(made[-1], pad)
+                json.JSONEncoder.default(self, o)  # raises TypeError
             key = (id(o), len(pad))
             if key in texts:
                 return texts[key]

@@ -34,8 +34,9 @@ class MarkerSet:
         if not self.markers:
             raise StructuralError("marker set needs at least one marker")
         names = [name for name, _ in self.markers]
-        if len(set(names)) != len(names):
-            raise StructuralError("duplicate marker ids")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise StructuralError(f"duplicate marker ids: {repeated}")
         labels = self.markers[0][1].labels
         for name, dm in self.markers[1:]:
             if dm.labels != labels:
@@ -140,8 +141,6 @@ def weight_id(w: tuple[Fraction, ...]) -> str:
 
 def sweep(markers: MarkerSet, grid: SweepGrid) -> ClusterNetwork:
     """One dendrogram per weight vector, identical trees deduplicated, fused."""
-    if not grid.weights:
-        raise StructuralError("empty sweep grid")
     dendros: list[Dendrogram] = []
     ids: list[str] = []
     seen: set[Dendrogram] = set()
@@ -175,11 +174,22 @@ def load_marker_bundle(manifest_path: str | Path) -> MarkerSet:
     return MarkerSet(tuple(markers))
 
 
+class _Number(Fraction):
+    """A sweep spec's JSON number, whose repr is its value: refusals quote a
+    row as `[1, 3/2]`."""
+
+    __repr__ = Fraction.__str__
+
+
+def _number(literal: str) -> _Number:
+    return _Number(as_fraction(literal))
+
+
 def load_sweep_spec(spec_path: str | Path, n_markers: int) -> SweepGrid:
     """Read a sweep spec: explicit weight rows or a simplex grid resolution."""
     spec_path = Path(spec_path)
     try:
-        spec = json.loads(spec_path.read_text(), parse_float=as_fraction, parse_int=as_fraction)
+        spec = json.loads(spec_path.read_text(), parse_float=_number, parse_int=_number)
     except (OSError, ValueError) as exc:  # also bad UTF-8 and as_fraction's StructuralError
         raise StructuralError(f"cannot read sweep spec {spec_path}: {reason(exc)}") from None
     grid = spec.get("grid") if isinstance(spec, dict) else None

@@ -32,10 +32,6 @@ class Simplex:
     metric: str
     anchor: tuple[int, int]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.vertex_ids) - 1
-
 
 @dataclass(frozen=True)
 class SimplicialComplex:

@@ -46,6 +46,11 @@ def cut(dendro, eps):
     )
 
 
+def entry(dm, a: str, b: str):
+    """The value at labels a and b, read off the matrix's full table."""
+    return dm.entries[dm.labels.index(a)][dm.labels.index(b)]
+
+
 def mask_of(indices) -> int:
     """The member bitmask of point indices."""
     return sum({1 << i for i in indices})

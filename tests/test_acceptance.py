@@ -29,7 +29,7 @@ from clusternets.cli import main
 from clusternets.padic import NormSpec, identity_matrix, reordering_norms, ball_network
 
 import oracles
-from conftest import QUAD_A, QUAD_B, TRIO_A, TRIO_B
+from conftest import QUAD_A, QUAD_B, TRIO_A, TRIO_B, entry
 from test_padic import independent_decomposition_check
 
 F = Fraction
@@ -152,11 +152,11 @@ def test_c04_clustering_axioms_hold_suite_wide():
         for c in dendro.clusters:
             members = dendro.member_names(c)
             assert c.radius == max(
-                (um.get(a, b) for a in members for b in members), default=F(0)
+                (entry(um, a, b) for a in members for b in members), default=F(0)
             )
         for a in dendro.labels:
             for b in dendro.labels:
-                assert oracles.sup_cluster(dendro, a, b).radius == um.get(a, b)
+                assert oracles.sup_cluster(dendro, a, b).radius == entry(um, a, b)
     _ok(f"4 clustering axioms on {len(corpus)} dendrograms")
 
 

@@ -89,6 +89,20 @@ class TestCluster:
         assert code == 2 and not out
         assert "repeated row label 'A'" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("label,,B\n,0,1\nB,1,0\n", "empty label name"), ("label\n", "no labels in header")],
+        ids=["empty-label", "no-labels"],
+    )
+    def test_header_without_usable_labels_exit_2(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, out, err = run(["cluster", str(bad)], capsys)
+        assert code == 2 and not out
+        (line,) = err.splitlines()
+        error = {"code": 2, "kind": "input", "message": f"bad: {message}"}
+        assert json.loads(line) == {"error": error}
+
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes("label,Ä,B\nÄ,0,1\nB,1,0\n".encode("latin-1"))
@@ -416,6 +430,20 @@ class TestPhyloSweep:
         assert code == 2 and not out
         assert json.loads(err)["error"]["message"] == "split_ab_cd: asymmetry at (A,B): 1 != 3"
 
+    def test_repeated_marker_id_exit_2_names_it(self, data_dir, tmp_path, capsys):
+        markers = tmp_path / "markers"
+        shutil.copytree(data_dir / "markers", markers)
+        entries = [{"id": "m", "path": "split_ab_cd.csv"}, {"id": "m", "path": "split_ac_bd.csv"}]
+        (markers / "manifest.json").write_text(json.dumps({"markers": entries}))
+        code, out, err = run(
+            ["phylo-sweep", str(markers / "manifest.json"), str(markers / "sweep_units.json")],
+            capsys,
+        )
+        assert code == 2 and not out
+        (line,) = err.splitlines()
+        message = "duplicate marker ids: ['m']"
+        assert json.loads(line) == {"error": {"code": 2, "kind": "input", "message": message}}
+
     def test_zero_vector_exit_2(self, data_dir, capsys):
         markers = data_dir / "markers"
         code, _, err = run(
@@ -477,12 +505,20 @@ class TestPhyloSweep:
             ),
             (
                 {"grid": {"type": "explicit", "weights": [[1, 1], [1, 2, 3]]}},
-                "weight row [Fraction(1, 1), Fraction(2, 1), Fraction(3, 1)]"
-                " has 3 entries for 2 markers",
+                "weight row [1, 2, 3] has 3 entries for 2 markers",
+            ),
+            (
+                {"grid": {"type": "explicit", "weights": [[0.5, 1.5, 3]]}},
+                "weight row [1/2, 3/2, 3] has 3 entries for 2 markers",
+            ),
+            (
+                {"grid": {"type": "explicit", "weights": [[[1], 1]]}},
+                "refusing list value [1]; pass a string, int or Fraction",
             ),
             ({"grid": {"type": "hexagonal", "resolution": 2}}, "unknown grid type 'hexagonal'"),
         ],
-        ids=["no-grid", "empty-weights", "row-length", "unknown-type"],
+        ids=["no-grid", "empty-weights", "row-length", "row-length-fractions", "nested-row",
+             "unknown-type"],
     )
     def test_sweep_spec_refusals_exit_2_with_one_json_line(
         self, spec, message, data_dir, tmp_path, capsys
@@ -666,6 +702,18 @@ class TestDeterminismAndMeta:
         assert code == 2 and not out and err.count("\n") == 1
         assert "--emit-meta" in json.loads(err)["error"]["message"]
         assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("out, meta", [("f", "f"), ("f", "./f"), ("sub/../f", "f")])
+    def test_out_and_meta_on_one_file_exit_2_writes_nothing(
+        self, out, meta, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        matrices = [str(data_dir / "trio_a.csv"), str(data_dir / "trio_b.csv")]
+        code, stdout, err = run(["dimension", *matrices, "--out", out, "--emit-meta", meta], capsys)
+        assert code == 2 and not stdout and err.count("\n") == 1
+        message = f"--out and --emit-meta name one file: {out}"
+        assert json.loads(err)["error"]["message"] == message
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv, path",

@@ -14,7 +14,7 @@ from clusternets import (
 from clusternets.dendrogram import mask_members, member_order
 
 import oracles
-from conftest import cut, mask_of
+from conftest import cut, entry, mask_of
 
 F = Fraction
 
@@ -45,13 +45,13 @@ def assert_axioms(dendro, dm):
     for c in dendro.clusters:
         members = dendro.member_names(c)
         diameter = max(
-            (um.get(a, b) for a in members for b in members),
+            (entry(um, a, b) for a in members for b in members),
             default=F(0),
         )
         assert c.radius == diameter
     for a in dendro.labels:
         for b in dendro.labels:
-            assert oracles.sup_cluster(dendro, a, b).radius == um.get(a, b)
+            assert oracles.sup_cluster(dendro, a, b).radius == entry(um, a, b)
     for child, parent in dendro.edges:
         small, big = dendro.clusters[child], dendro.clusters[parent]
         assert oracles.contains(big, small) and small.members != big.members

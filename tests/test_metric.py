@@ -19,7 +19,7 @@ from clusternets.dendrogram import mask_members
 from clusternets.metric import read_matrix
 
 import oracles
-from conftest import cut
+from conftest import cut, entry
 
 F = Fraction
 
@@ -54,7 +54,7 @@ class TestConstruction:
     def test_labels_canonicalized_lexicographically(self):
         dm = DistanceMatrix(["b", "a"], [[0, 3], [3, 0]])
         assert dm.labels == ("a", "b")
-        assert dm.get("a", "b") == 3
+        assert entry(dm, "a", "b") == 3
 
     def test_asymmetry_names_cell(self):
         with pytest.raises(StructuralError, match=r"\(A,B\)"):
@@ -67,6 +67,13 @@ class TestConstruction:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(StructuralError, match="diagonal"):
             DistanceMatrix(["A", "B"], [[1, 2], [2, 0]])
+
+    def test_immutable_with_a_short_repr(self):
+        dm = DistanceMatrix(["b", "a"], [[0, 3], [3, 0]])
+        with pytest.raises(AttributeError, match="^DistanceMatrix is immutable$"):
+            dm.labels = ("c", "d")
+        assert dm.labels == ("a", "b")
+        assert repr(dm) == "DistanceMatrix(labels=['a', 'b'], n=2)"
 
     def test_empty_point_set_rejected(self):
         with pytest.raises(StructuralError, match="empty"):
@@ -83,7 +90,8 @@ class TestConstruction:
     # Exact messages for matrices with several faults, captured before the
     # matrix kept ranks: the scan runs row by row in canonical label order,
     # the diagonal cell first, then each pair to the right, symmetry before
-    # sign; unparsable cells are reported first, in input order.
+    # sign; unparsable cells are reported first, in input order. The last
+    # three are shape faults.
     @pytest.mark.parametrize(
         "labels, rows, message",
         [
@@ -107,12 +115,15 @@ class TestConstruction:
             (["B", "A"], [["0", "1/0"], ["y", "0"]], "bad rational literal '1/0': Fraction(1, 0)"),
             (["A", "B"], [["0", 0.5], ["w", "0"]],
              "refusing float value 0.5; pass a string, int or Fraction"),
+            (["a", ""], [[0, 1], [1, 0]], "empty label name"),
+            (["a", "b", "c"], [[0, 1, 1], [1, 0, 1]], "matrix has 2 rows for 3 labels"),
+            (["a", "b"], [[0, 1], [1]], "row 'b' has 1 entries, expected 2"),
         ],
         ids=[
             "asymmetry-before-diagonal", "asymmetry-in-row-a", "asymmetry-before-sign",
             "sign-before-asymmetry-and-diagonal", "sign-before-diagonal",
             "diagonal-after-clean-rows", "mixed-types", "literal-before-asymmetry",
-            "first-bad-literal", "float-before-literal",
+            "first-bad-literal", "float-before-literal", "empty-label", "row-count", "row-length",
         ],
     )
     def test_first_fault_message(self, labels, rows, message):
@@ -231,7 +242,7 @@ class TestCsv:
 
     def test_fraction_literals(self):
         dm = DistanceMatrix.from_csv("label,x,y\nx,0,3/5\ny,3/5,0\n")
-        assert dm.get("x", "y") == F(3, 5)
+        assert entry(dm, "x", "y") == F(3, 5)
 
     def test_oversized_field_rejected(self):
         # the csv module refuses fields over 131072 characters with csv.Error
@@ -291,7 +302,7 @@ class TestValidate:
         dm = DistanceMatrix(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
         assert oracles.strong_triangle_violations(dm.entries) == [(0, 2, 1)]
         um = chain_distance(dm)
-        assert um.get("a", "c") == 1
+        assert entry(um, "a", "c") == 1
         assert oracles.strong_triangle_violations(um.entries) == []
 
     def test_degenerate_zero_still_ultrametric(self):
@@ -325,13 +336,13 @@ class TestEpsilonComponents:
 class TestChainDistance:
     def test_collinear_example(self, trio_a):
         um = chain_distance(trio_a)
-        assert um.get("A", "B") == 2
-        assert um.get("B", "C") == 3
-        assert um.get("A", "C") == 3
+        assert entry(um, "A", "B") == 2
+        assert entry(um, "B", "C") == 3
+        assert entry(um, "A", "C") == 3
 
     def test_two_points(self):
         um = chain_distance(DistanceMatrix(["a", "b"], [[0, 7], [7, 0]]))
-        assert um.get("a", "b") == 7
+        assert entry(um, "a", "b") == 7
 
     def test_ultrametric_fixed_point(self):
         um = DistanceMatrix(

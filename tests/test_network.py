@@ -98,9 +98,9 @@ class TestMerge:
         net, _ = net_c1
         ab = vertex_by_members(net, mask_of([net.labels.index(x) for x in "AB"]))
         assert ab.present_in == frozenset({"m1"})
-        assert ab.radius("m1") == 2
+        assert ab.radius_by_metric == (("m1", 2),)
         abc = vertex_by_members(net, mask_of(range(3)))
-        assert abc.radius("m1") == 3 and abc.radius("m2") == 5
+        assert abc.radius_by_metric == (("m1", 3), ("m2", 5))
 
     def test_label_mismatch_rejected(self, trio_a, quad_a):
         with pytest.raises(StructuralError, match="mismatch"):
@@ -112,6 +112,14 @@ class TestMerge:
         d = build_dendrogram(trio_a)
         with pytest.raises(StructuralError, match="distinct"):
             merge_dendrograms([d, d], ["m", "m"])
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(StructuralError, match="^empty dendrogram family$"):
+            merge_dendrograms([], [])
+
+    def test_id_count_mismatch_rejected(self, trio_a):
+        with pytest.raises(StructuralError, match="^1 dendrograms for 2 metric ids$"):
+            merge_dendrograms([build_dendrogram(trio_a)], ["m1", "m2"])
 
     def test_order_insensitive_serialization(self, trio_a, trio_b):
         da, db = build_dendrogram(trio_a), build_dendrogram(trio_b)
@@ -392,3 +400,9 @@ class TestPayloadEncoder:
             with pytest.raises(TypeError):
                 json.dumps({"ok": [1], "bad": [value]}, indent=2, sort_keys=sort_keys,
                            cls=PayloadEncoder)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1, 2}])
+    def test_refuses_other_values_with_the_stdlib_message(self, value):
+        message = f"Object of type {type(value).__name__} is not JSON serializable"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            payload({"bad": [value]})

@@ -116,8 +116,11 @@ class TestWeightRule:
             norm_weights(p, d, q)
 
 
+STD22 = Lattice.standard(2, 2)
+
+
 def _chain22():
-    return maximal_chains(Lattice.standard(2, 2))[0]
+    return maximal_chains(STD22)[0]
 
 
 @pytest.mark.parametrize(
@@ -130,6 +133,23 @@ def _chain22():
         (lambda: verify_correspondence(2, 2, Q22[::-1]), "strictly increase; try 3/5,4/5$"),
         (lambda: ball_network(2, 3, Q22, window=1), "got 2 weights for dimension 3"),
         (lambda: ball_network(2, 2, Q22, window=0), "window must be at least 1, got 0"),
+        (lambda: Lattice.from_basis(2, []), "^no basis vectors$"),
+        (lambda: Lattice.from_basis(2, [(1, 0), (1,)]), "^basis vectors of unequal length$"),
+        (lambda: LatticeChain((STD22,)), "^chain needs at least two lattices$"),
+        (
+            lambda: LatticeChain((STD22.dilate(2), STD22.dilate(1), STD22)),
+            r"^chain must run from p\.L up to L$",
+        ),
+        (lambda: is_adjacent(STD22, Lattice.standard(3, 2)), "^lattices live in different spaces$"),
+        (lambda: is_adjacent(STD22, Lattice.standard(2, 3)), "^lattices live in different spaces$"),
+        (
+            lambda: NormSpec(2, Q22, identity_matrix(3)),
+            "^frame matrix shape does not match weights$",
+        ),
+        (
+            lambda: NormSpec(2, Q22, ((1, 0), (0,))),
+            "^frame matrix shape does not match weights$",
+        ),
     ],
     ids=[
         "norm_from_chain-count",
@@ -139,11 +159,30 @@ def _chain22():
         "verify_correspondence-unsorted",
         "ball_network-count",
         "ball_network-window",
+        "from_basis-empty",
+        "from_basis-ragged",
+        "chain-one-lattice",
+        "chain-not-from-pL",
+        "is_adjacent-other-p",
+        "is_adjacent-other-d",
+        "frame-rows",
+        "frame-ragged",
     ],
 )
 def test_padic_argument_faults_raise_structural_error(call, message):
     with pytest.raises(StructuralError, match=message):
         call()
+
+
+def test_valuation_of_zero_is_refused():
+    with pytest.raises(ValueError, match="^valuation of zero is undefined$"):
+        pval(F(0), 2)
+
+
+def test_a_norm_equals_no_other_type():
+    norm = diag_norm(2, Q22)
+    assert norm.__eq__(Q22) is NotImplemented
+    assert norm != Q22 and norm == diag_norm(2, Q22)
 
 
 @pytest.mark.parametrize(

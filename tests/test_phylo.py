@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from clusternets import metric
 from clusternets.phylo import load_marker_bundle, load_sweep_spec, weight_id
 
 import oracles
-from conftest import cut
+from conftest import cut, entry
 
 F = Fraction
 
@@ -45,17 +46,17 @@ class TestCombine:
 
     def test_unit_vector_scales_one_marker(self, markers):
         got = combine(markers, (0, 3))
-        assert got.get("A", "C") == 3
-        assert got.get("A", "B") == 30
+        assert entry(got, "A", "C") == 3
+        assert entry(got, "A", "B") == 30
         d_got, d_marker = build_dendrogram(got), build_dendrogram(SPLIT_AC_BD)
         assert [c.members for c in d_got.clusters] == [c.members for c in d_marker.clusters]
         assert [c.radius for c in d_got.clusters] == [3 * c.radius for c in d_marker.clusters]
 
     def test_equal_weights_sum(self, markers):
         got = combine(markers, (1, 1))
-        assert got.get("A", "B") == 11
-        assert got.get("A", "C") == 11
-        assert got.get("A", "D") == 20
+        assert entry(got, "A", "B") == 11
+        assert entry(got, "A", "C") == 11
+        assert entry(got, "A", "D") == 20
 
     def test_positive_scaling_rescales_distances(self, markers):
         base = combine(markers, (1, 2))
@@ -80,6 +81,20 @@ class TestCombine:
     def test_negative_weight_rejected(self, markers):
         with pytest.raises(StructuralError, match="negative"):
             combine(markers, (1, -1))
+
+    def test_empty_weight_vector_rejected(self, markers):
+        with pytest.raises(StructuralError, match="^empty weight vector$"):
+            combine(markers, ())
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [((), "marker set needs at least one marker"),
+         (("m", "n", "m", "n", "o"), "duplicate marker ids: ['m', 'n']")],
+        ids=["empty", "repeated-ids"],
+    )
+    def test_bad_marker_sets_rejected(self, names, message):
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            MarkerSet(tuple((name, SPLIT_AB_CD) for name in names))
 
 
 # Spellings of each value, so that one value is written several ways within
@@ -175,6 +190,10 @@ class TestGrid:
         assert (F(0), F(1)) in grid.weights
         assert (F(1, 2), F(1, 2)) in grid.weights
 
+    def test_empty_explicit_grid_rejected(self):
+        with pytest.raises(StructuralError, match="^empty sweep grid$"):
+            SweepGrid.explicit([])
+
     def test_zero_resolution_rejected(self):
         with pytest.raises(StructuralError):
             SweepGrid.simplex(2, 0)
@@ -211,6 +230,10 @@ class TestSweep:
         once = sweep(markers, SweepGrid.explicit([(1, 0), (0, 1)]))
         padded = sweep(markers, SweepGrid.explicit([(1, 0), (0, 1), (2, 0), (0, 5)]))
         assert to_json(once) == to_json(padded)
+
+    def test_empty_grid_is_an_empty_family(self, markers):
+        with pytest.raises(StructuralError, match="^empty dendrogram family$"):
+            sweep(markers, SweepGrid(()))
 
     def test_identical_dendrograms_deduplicated(self, markers):
         # (1,0) and (1, tiny) give the same tree only if radii agree; here

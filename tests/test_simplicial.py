@@ -140,7 +140,7 @@ class TestSimplicesForPair:
         j = minimal_common_superball(net, a, {"m"})
         simplices = anchored_at(build_complex(net, {"m"}), a, j)
         assert len(simplices) == 1
-        assert simplices[0].dimension == 1
+        assert len(simplices[0].vertex_ids) == 2
 
 
 class TestBuildComplex:
