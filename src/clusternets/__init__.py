@@ -19,14 +19,13 @@ _EXPORTS = {
     "errors": ("StructuralError",),
     "metric": ("DistanceMatrix", "as_fraction", "chain_distance"),
     "network": (
-        "ClusterNetwork", "NetworkEdge", "NetworkVertex", "chain_to_superball", "is_r_ball",
-        "merge_dendrograms", "minimal_common_superball", "to_dot", "to_json", "to_json_dict",
-        "undirected_cycles",
+        "ClusterNetwork", "NetworkEdge", "NetworkVertex", "chain_to_superball",
+        "merge_dendrograms", "to_dot", "to_json", "to_json_dict",
     ),
     "padic": (
-        "Lattice", "LatticeChain", "LatticeClass", "NormSpec", "ball_network", "basis_from_chain",
-        "enumerate_subspaces", "flag_count", "intermediary_balls", "is_adjacent",
-        "maximal_chains", "norm_from_chain", "verify_correspondence",
+        "Lattice", "LatticeChain", "NormSpec", "ball_network", "enumerate_subspaces",
+        "flag_count", "intermediary_balls", "maximal_chains", "norm_from_chain",
+        "verify_correspondence",
     ),
     "phylo": ("MarkerSet", "SweepGrid", "combine", "sweep"),
     "simplicial": (

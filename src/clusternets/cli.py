@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib import import_module
@@ -26,6 +27,8 @@ from .errors import StructuralError, reason
 from .metric import matrix_name, read_matrix
 from .network import ClusterNetwork, PayloadEncoder, merge_dendrograms, subfamily, to_dot, to_json
 
+_ROLES = (("out", "--out"), ("emit_meta", "--emit-meta"), ("matrices", "input matrix"),
+          ("manifest", "manifest"), ("sweep_spec", "sweep spec"), ("marker_files", "marker file"))
 _LAYERS = {
     "padic": ("ball_network", "default_weights", "norm_weights", "verify_correspondence"),
     "phylo": ("load_marker_bundle", "load_sweep_spec", "sweep"),
@@ -84,6 +87,17 @@ def _write_file(path: str, text: str) -> None:
         if regular:
             Path(path).unlink()
         raise StructuralError(f"cannot write {path}: {reason(exc)}") from None
+
+
+def _refuse_overwrite(args) -> None:
+    """Refuse an output that names an input or the other output (`-` names no file)."""
+    named = [(role, p) for key, role in _ROLES for v in [getattr(args, key, None)]
+             for p in (v if isinstance(v, (list, tuple)) else [v]) if p not in (None, "-")]
+    for i, (role, path) in enumerate(named):
+        for other, second in named[i + 1 :] if role.startswith("--") else ():
+            if (os.path.samefile(path, second) if os.path.exists(path) and os.path.exists(second)
+                    else Path(path).resolve() == Path(second).resolve()):
+                raise StructuralError(f"{role} and {other} name one file: {path}")
 
 
 def _parse_subfamily(arg: str | None, net: ClusterNetwork) -> frozenset[str]:
@@ -148,6 +162,8 @@ def cmd_padic_verify(args) -> str:
 def cmd_phylo_sweep(args) -> str:
     _bind("phylo")
     markers = load_marker_bundle(args.manifest)
+    args.marker_files = markers.paths
+    _refuse_overwrite(args)
     grid = load_sweep_spec(args.sweep_spec, len(markers))
     net = sweep(markers, grid)
     return to_dot(net) if args.format == "dot" else to_json(net)
@@ -232,10 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.emit_meta == "-":
             raise StructuralError("--emit-meta needs a file path; - is not one")
-        if args.emit_meta and args.out not in (None, "-") and (
-            Path(args.out).resolve() == Path(args.emit_meta).resolve()
-        ):
-            raise StructuralError(f"--out and --emit-meta name one file: {args.out}")
+        _refuse_overwrite(args)
         payload = args.func(args)
         if args.emit_meta:
             meta = {"tool": "clusternets", "argv": argv, "unix_time": time.time()}

@@ -159,22 +159,6 @@ def subfamily(net: ClusterNetwork, r: frozenset[str] | set[str]) -> frozenset[st
     return r
 
 
-def is_r_ball(net: ClusterNetwork, v: NetworkVertex, r: frozenset[str] | set[str]) -> bool:
-    """True iff the vertex is a ball for every metric in the subfamily."""
-    return subfamily(net, r) <= v.present_in
-
-
-def minimal_common_superball(
-    net: ClusterNetwork, ball: NetworkVertex, r: frozenset[str] | set[str]
-) -> NetworkVertex | None:
-    """Smallest r-ball strictly containing `ball`, or None at the root."""
-    r = frozenset(r)
-    if not is_r_ball(net, ball, r):
-        raise ValueError(f"vertex {ball.vertex_id} is not an r-ball for {sorted(r)}")
-    chain = chain_to_superball(net, ball.vertex_id, r, min(r))
-    return None if chain is None else net.vertices[chain[-1]]
-
-
 def chain_to_superball(
     net: ClusterNetwork, ball_id: int, r: frozenset[str], metric_id: str
 ) -> list[int] | None:
@@ -194,60 +178,6 @@ def chain_to_superball(
         if r <= net.vertices[chain[-1]].present_in:
             return chain
     return None
-
-
-def undirected_cycles(net: ClusterNetwork) -> list[tuple[int, ...]]:
-    """Fundamental cycle basis of the underlying undirected graph.
-
-    One cycle per non-tree edge of a BFS spanning forest; each cycle is
-    rotated to start at its smallest vertex id and oriented toward the
-    smaller neighbor, and the list is sorted, so output is canonical.
-    """
-    n = len(net.vertices)
-    pairs = sorted({(min(e.child, e.parent), max(e.child, e.parent)) for e in net.edges})
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent: dict[int, int | None] = {}
-    for start in range(n):
-        if start in parent:
-            continue
-        parent[start] = None
-        queue = [start]
-        for u in queue:  # breadth first: the loop reaches what it appends
-            for w in sorted(adj[u]):
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-    tree = {(min(v, p), max(v, p)) for v, p in parent.items() if p is not None}
-    cycles = []
-    for a, b in pairs:
-        if (a, b) in tree:
-            continue
-        path_a, path_b = [a], [b]
-        seen_a = {a: 0}
-        u = a
-        while parent[u] is not None:
-            u = parent[u]
-            seen_a[u] = len(path_a)
-            path_a.append(u)
-        u = b
-        while u not in seen_a:
-            u = parent[u]
-            path_b.append(u)
-        lca = u
-        cycle = path_a[: seen_a[lca] + 1] + path_b[-2::-1]
-        cycles.append(_canonical_cycle(cycle))
-    return sorted(cycles, key=lambda c: (len(c), c))
-
-
-def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
-    k = cycle.index(min(cycle))
-    rotated = cycle[k:] + cycle[:k]
-    if rotated[1] > rotated[-1]:
-        rotated = [rotated[0]] + rotated[:0:-1]
-    return tuple(rotated)
 
 
 def to_json_dict(net: ClusterNetwork) -> dict:

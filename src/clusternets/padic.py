@@ -14,8 +14,6 @@ p-adic expansions below), which makes lattice equality a tuple comparison.
 That basis is kept as integer columns over one p-power scale and is
 canonicalised on integers modulo a power of p (Hermite normal form modulo
 D, Cohen, GTM 138, 2.4); Fractions appear only in `describe` and in results.
-The class of a lattice modulo p-power dilations is represented by the
-primitive scaling: integral but not contained in p.Z_p^d.
 
 A subspace of L/pL = F_p^d is the frozenset of its points, int tuples over
 {0..p-1}, grown by `_span`: `maximal_chains` builds the complete flags by
@@ -182,12 +180,6 @@ def _over_lcm(vec: Sequence) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 # lattices
 
-def _cleared(p: int, vec: Sequence) -> tuple[list[int], int]:
-    """vec as (V, a) with vec = V / (p^a u): u is a unit, which keeps the Z_p-span."""
-    ints, den = _over_lcm(vec)
-    return ints, pval(den, p)
-
-
 def _strip(p: int, cols: Sequence[Sequence[int]], scale: int) -> tuple[Sequence, int]:
     """Divide out the p-power common to every entry, down to scale 0."""
     if not scale:
@@ -222,17 +214,6 @@ class Lattice:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @classmethod
-    def from_basis(cls, p: int, vectors: Iterable[Sequence]) -> "Lattice":
-        """Canonicalize any spanning set (at least d vectors of rank d)."""
-        require_prime(p)
-        vecs = [_cleared(p, v) for v in vectors]
-        if not vecs:
-            raise StructuralError("no basis vectors")
-        if any(len(c) != len(vecs[0][0]) for c, _ in vecs):
-            raise StructuralError("basis vectors of unequal length")
-        return cls._hermite(p, vecs)
 
     @classmethod
     def _hermite(cls, p: int, vecs: Sequence[tuple[Sequence[int], int]]) -> "Lattice":
@@ -333,18 +314,6 @@ class Lattice:
 
 
 @dataclass(frozen=True)
-class LatticeClass:
-    """Lattice modulo p-power dilations, keyed by the primitive scaling."""
-
-    representative: Lattice
-
-    @classmethod
-    def of(cls, lattice: Lattice) -> "LatticeClass":
-        shift = min(pval(x, lattice.p) for col in lattice.cols for x in col if x) - lattice.scale
-        return cls(lattice.dilate(-shift))
-
-
-@dataclass(frozen=True)
 class LatticeChain:
     """Strictly increasing lattices with first = p . last."""
 
@@ -432,18 +401,6 @@ def _lift_subspace(lattice: Lattice, rows: tuple[tuple[int, ...], ...]) -> Latti
     vectors = [([x * p for x in col], s) for col in lattice.cols]
     vectors.extend((lattice._combine(row), s) for row in rows)
     return Lattice._hermite(p, vectors)
-
-
-def is_adjacent(first: Lattice, second: Lattice) -> bool:
-    """Building adjacency: some rescaling of one strictly between p.other and other."""
-    ra, rb = LatticeClass.of(first).representative, LatticeClass.of(second).representative
-    if ra.p != rb.p or ra.dimension != rb.dimension:
-        raise StructuralError("lattices live in different spaces")
-    if ra == rb:
-        return False
-    d, gap, pa = ra.dimension, sum(ra.exponents) - sum(rb.exponents), ra.dilate(1)
-    cands = map(rb.dilate, range(-(-gap // d), (gap + d) // d + 1))  # ceil(gap/d)..gap//d + 1
-    return any(ra.contains_lattice(c) and c.contains_lattice(pa) for c in cands)
 
 
 def maximal_chains(lattice: Lattice) -> list[LatticeChain]:
@@ -644,7 +601,7 @@ def _residue_span(top: Lattice, lat: Lattice) -> frozenset:
 
 def _adapted_residues(chain: LatticeChain) -> tuple[list[frozenset], list[tuple[int, ...]]]:
     """The residue spans L_j/pL (j < d) of a maximal chain and the residues w_j of
-    its adapted basis, in the top lattice's coordinates; see `basis_from_chain`."""
+    its adapted basis, in the top lattice's coordinates; see `_adapted_basis`."""
     top, d = chain.top, chain.top.dimension
     if not chain.is_maximal():
         raise ValueError(f"chain of {len(chain.lattices)} lattices is not maximal in dimension {d}")
@@ -656,30 +613,18 @@ def _adapted_residues(chain: LatticeChain) -> tuple[list[frozenset], list[tuple[
 
 def _adapted_basis(chain: LatticeChain) -> list[list[int]]:
     """The adapted basis of a maximal chain as integer vectors f_j over p^scale
-    of the top lattice. By induction on j, their residues w_1..w_j span L_j/pL
-    (at j = d, L/pL) when w_j lies there, outside L_(j-1)/pL, of index p in it."""
+    of the top lattice: f_j lies in L_j outside L_(j-1), and in the top's
+    coordinates lifts the least vector of (L_j/pL) \\ (L_(j-1)/pL); f_d lifts
+    the last unit vector outside the hyperplane L_(d-1)/pL. By induction on j,
+    their residues w_1..w_j span L_j/pL (at j = d, L/pL) when w_j lies there,
+    outside L_(j-1)/pL, of index p in it; so L_j = Z_p f_1 + ... + Z_p f_j +
+    p Z_p f_(j+1) + ... + p Z_p f_d, checked here on residues in L/pL."""
     top = chain.top
     spans, ws = _adapted_residues(chain)
     for small, big, w in zip(spans, [*spans[1:], None], ws):
         if w in small or big and not (w in big and small < big and len(big) == top.p * len(small)):
             raise AssertionError("adapted basis fails the chain decomposition")
     return [top._combine(w) for w in ws]
-
-
-def basis_from_chain(chain: LatticeChain) -> tuple[Vector, ...]:
-    """Pick f_j in L_j outside L_(j-1); the f_j form a basis adapted to the chain.
-
-    The choice is canonical: in the coordinates of the top lattice, f_j
-    lifts the lexicographically smallest vector of (L_j/pL) \\ (L_(j-1)/pL).
-    Each residue span L_j/pL below L is a point set (`_residue_span`). L/pL
-    = F_p^d is never listed: f_d lifts the last unit vector outside the
-    hyperplane L_(d-1)/pL, as every vector before it lies in the hyperplane.
-    The direct-sum decomposition
-        L_j = Z_p f_1 + ... + Z_p f_j + p Z_p f_(j+1) + ... + p Z_p f_d
-    is re-verified for this chain on residues in L/pL before returning.
-    """
-    s = chain.top.p ** chain.top.scale
-    return tuple(tuple(Fraction(x, s) for x in f) for f in _adapted_basis(chain))
 
 
 def norm_from_chain(chain: LatticeChain, q: Sequence) -> NormSpec:

@@ -10,7 +10,7 @@ deduplicated after normalizing by their sum).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, pairwise
@@ -26,9 +26,10 @@ from .network import ClusterNetwork, merge_dendrograms
 
 @dataclass(frozen=True)
 class MarkerSet:
-    """Named distance matrices over a shared label set."""
+    """Named distance matrices over a shared label set, and the files they came from."""
 
     markers: tuple[tuple[str, DistanceMatrix], ...]
+    paths: tuple[Path, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not self.markers:
@@ -164,14 +165,15 @@ def load_marker_bundle(manifest_path: str | Path) -> MarkerSet:
     entries = manifest.get("markers") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
         raise StructuralError("manifest must list at least one marker")
-    markers = []
+    markers, paths = [], []
     for entry in entries:
         if not isinstance(entry, dict) or not all(
             isinstance(entry.get(key), str) for key in ("id", "path")
         ):
             raise StructuralError(f"bad marker entry {entry!r}")
-        markers.append((entry["id"], read_matrix(manifest_path.parent / entry["path"])))
-    return MarkerSet(tuple(markers))
+        paths.append(manifest_path.parent / entry["path"])
+        markers.append((entry["id"], read_matrix(paths[-1])))
+    return MarkerSet(tuple(markers), tuple(paths))
 
 
 class _Number(Fraction):

@@ -8,10 +8,13 @@ fusion code: it judges how a window's points and norm values are formed.
 norms and its Hermite forms: it judges the round trip that the library
 decides on residues in L/pL, by comparing canonical forms instead.
 `matrix_by_fractions` reuses `as_fraction` and `_from_ranks`: it judges how
-the matrix reader parses, checks and sorts cells. `contains_vector`,
-`lattices_between`, `ball_of_radius` and `check_norm_axioms` (the judge of
-C08) run on the library's integer lattices and norms; no code of the
-package calls them, so they live here.
+the matrix reader parses, checks and sorts cells. `undirected_cycles` (C12)
+and `minimal_common_superball` read the library's networks;
+`lattice_from_basis`, `contains_vector`, `lattices_between`,
+`class_representative`, `is_adjacent` (C13), `basis_from_chain`,
+`ball_of_radius` and `check_norm_axioms` (the judge of C08) run on the
+library's integer lattices and norms. No code of the package calls them, so
+they live here.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from clusternets import padic
 from clusternets.dendrogram import build_dendrogram
 from clusternets.errors import StructuralError
 from clusternets.metric import DistanceMatrix, as_fraction
-from clusternets.network import merge_dendrograms
+from clusternets.network import chain_to_superball, merge_dendrograms, subfamily
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -569,12 +572,126 @@ def adapted_basis_by_definition(chain):
 
 
 # ---------------------------------------------------------------------------
+# network queries that only the tests use
+
+
+def minimal_common_superball(net, ball, r):
+    """Smallest r-ball strictly containing `ball`, or None at the root: the end
+    of `chain_to_superball`'s walk along the first metric of r."""
+    r = frozenset(r)
+    if not subfamily(net, r) <= ball.present_in:
+        raise ValueError(f"vertex {ball.vertex_id} is not an r-ball for {sorted(r)}")
+    chain = chain_to_superball(net, ball.vertex_id, r, min(r))
+    return None if chain is None else net.vertices[chain[-1]]
+
+
+def undirected_cycles(net) -> list[tuple[int, ...]]:
+    """Fundamental cycle basis of the underlying undirected graph.
+
+    One cycle per non-tree edge of a BFS spanning forest; each cycle is
+    rotated to start at its smallest vertex id and oriented toward the
+    smaller neighbor, and the list is sorted, so output is canonical.
+    """
+    n = len(net.vertices)
+    pairs = sorted({(min(e.child, e.parent), max(e.child, e.parent)) for e in net.edges})
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent: dict[int, int | None] = {}
+    for start in range(n):
+        if start in parent:
+            continue
+        parent[start] = None
+        queue = [start]
+        for u in queue:  # breadth first: the loop reaches what it appends
+            for w in sorted(adj[u]):
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+    tree = {(min(v, p), max(v, p)) for v, p in parent.items() if p is not None}
+    cycles = []
+    for a, b in pairs:
+        if (a, b) in tree:
+            continue
+        path_a, path_b = [a], [b]
+        seen_a = {a: 0}
+        u = a
+        while parent[u] is not None:
+            u = parent[u]
+            seen_a[u] = len(path_a)
+            path_a.append(u)
+        u = b
+        while u not in seen_a:
+            u = parent[u]
+            path_b.append(u)
+        lca = u
+        cycle = path_a[: seen_a[lca] + 1] + path_b[-2::-1]
+        cycles.append(_canonical_cycle(cycle))
+    return sorted(cycles, key=lambda c: (len(c), c))
+
+
+def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
+    k = cycle.index(min(cycle))
+    rotated = cycle[k:] + cycle[:k]
+    if rotated[1] > rotated[-1]:
+        rotated = [rotated[0]] + rotated[:0:-1]
+    return tuple(rotated)
+
+
+# ---------------------------------------------------------------------------
 # lattice and norm helpers that only the tests use, on the library's ints
+
+
+def cleared(p: int, vec) -> tuple[list[int], int]:
+    """vec as (V, a) with vec = V / (p^a u): u is a unit, which keeps the Z_p-span.
+    Entries are read by `padic._over_lcm`, as the library reads frames and points."""
+    ints, den = padic._over_lcm(vec)
+    return ints, padic.pval(den, p)
+
+
+def lattice_from_basis(p: int, vectors):
+    """The lattice spanned by any spanning set (at least d vectors of rank d),
+    canonicalised by `Lattice._hermite`."""
+    padic.require_prime(p)
+    vecs = [cleared(p, v) for v in vectors]
+    if not vecs:
+        raise StructuralError("no basis vectors")
+    if any(len(c) != len(vecs[0][0]) for c, _ in vecs):
+        raise StructuralError("basis vectors of unequal length")
+    return padic.Lattice._hermite(p, vecs)
 
 
 def contains_vector(lattice, vec) -> bool:
     """Whether the vector lies in the lattice, its entries read as the library reads them."""
-    return lattice._solve(*padic._cleared(lattice.p, vec)) is not None
+    return lattice._solve(*cleared(lattice.p, vec)) is not None
+
+
+def class_representative(lattice):
+    """The lattice's class modulo p-power dilations, as its primitive scaling:
+    the dilation that is integral but not contained in p.Z_p^d."""
+    shift = min(padic.pval(x, lattice.p) for col in lattice.cols for x in col if x) - lattice.scale
+    return lattice.dilate(-shift)
+
+
+def is_adjacent(first, second) -> bool:
+    """Building adjacency (Abramenko and Brown, GTM 248, ch. 6): some rescaling
+    of one lies strictly between p.other and other."""
+    ra, rb = class_representative(first), class_representative(second)
+    if ra.p != rb.p or ra.dimension != rb.dimension:
+        raise StructuralError("lattices live in different spaces")
+    if ra == rb:
+        return False
+    d, gap, pa = ra.dimension, sum(ra.exponents) - sum(rb.exponents), ra.dilate(1)
+    cands = map(rb.dilate, range(-(-gap // d), (gap + d) // d + 1))  # ceil(gap/d)..gap//d + 1
+    return any(ra.contains_lattice(c) and c.contains_lattice(pa) for c in cands)
+
+
+def basis_from_chain(chain) -> tuple[tuple[Fraction, ...], ...]:
+    """The library's adapted basis of a maximal chain (`padic._adapted_basis`)
+    as Fraction vectors: f_j over p^scale of the top lattice."""
+    s = chain.top.p ** chain.top.scale
+    return tuple(tuple(Fraction(x, s) for x in f) for f in padic._adapted_basis(chain))
 
 
 def lattices_between(lattice):

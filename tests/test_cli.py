@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import resource
 import shutil
 import signal
@@ -631,6 +633,26 @@ def test_payloads_bypass_the_stdlib_indented_encoder(argv, data_dir, tmp_path, c
         test_golden_payload_hashes(argv, data_dir, tmp_path, capsys)
 
 
+OVERWRITES = [  # (argv, the file an output names, its role in the run)
+    (["cluster", "m.csv"], "m.csv", "input matrix"),
+    (["network", "m.csv", "n.csv"], "n.csv", "input matrix"),
+    (["complex", "m.csv", "n.csv"], "m.csv", "input matrix"),
+    (["dimension", "n.csv", "m.csv"], "m.csv", "input matrix"),
+    (["phylo-sweep", "manifest.json", "sweep_units.json"], "manifest.json", "manifest"),
+    (["phylo-sweep", "manifest.json", "sweep_units.json"], "sweep_units.json", "sweep spec"),
+    (["phylo-sweep", "manifest.json", "sweep_units.json"], "split_ac_bd.csv", "marker file"),
+]
+OVERWRITE_IDS = ["cluster", "network", "complex", "dimension", "manifest", "sweep-spec", "marker"]
+
+
+def one_file_with(target: str, link: str) -> str:
+    """A path that is one file with target: target itself, or a new symlink or hard link to it."""
+    if link == "itself":
+        return target
+    (os.symlink if link == "symlink" else os.link)(target, "link")
+    return "link"
+
+
 class TestDeterminismAndMeta:
     def test_out_files_byte_identical_across_runs(self, data_dir, tmp_path, capsys):
         markers = data_dir / "markers"
@@ -714,6 +736,51 @@ class TestDeterminismAndMeta:
         message = f"--out and --emit-meta name one file: {out}"
         assert json.loads(err)["error"]["message"] == message
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("link", ["itself", "symlink", "hard link"])
+    @pytest.mark.parametrize("flag", ["--out", "--emit-meta"])
+    @pytest.mark.parametrize("argv, target, role", OVERWRITES, ids=OVERWRITE_IDS)
+    def test_output_on_an_input_exits_2_and_leaves_it(
+        self, argv, target, role, flag, link, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(data_dir / "markers", tmp_path, dirs_exist_ok=True)
+        shutil.copy(data_dir / "trio_a.csv", "m.csv")
+        shutil.copy(data_dir / "trio_b.csv", "n.csv")
+        name = one_file_with(target, link)
+        before = {p: p.read_bytes() for p in Path().iterdir()}
+        code, out, err = run([*argv, flag, name], capsys)
+        assert code == 2 and not out and err.count("\n") == 1
+        assert json.loads(err)["error"]["message"] == f"{flag} and {role} name one file: {name}"
+        assert {p: p.read_bytes() for p in Path().iterdir()} == before
+
+    @pytest.mark.parametrize("link", ["itself", "symlink", "hard link"])
+    def test_outputs_on_one_existing_file_exit_2_and_leave_it(
+        self, link, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("f.json").write_text("{}\n")
+        meta = one_file_with("f.json", link)
+
+        def never(*args):
+            raise AssertionError("the run started its work before the refusal")
+
+        monkeypatch.setattr("clusternets.cli.verify_correspondence", never, raising=False)
+        before = {p: p.read_bytes() for p in Path().iterdir()}
+        argv = ["padic-verify", "--p", "2", "--d", "2", "--q", "3/5,4/5", "--out", "f.json"]
+        code, out, err = run([*argv, "--emit-meta", meta], capsys)
+        assert code == 2 and not out and err.count("\n") == 1
+        assert json.loads(err)["error"]["message"] == "--out and --emit-meta name one file: f.json"
+        assert {p: p.read_bytes() for p in Path().iterdir()} == before
+
+    def test_two_inputs_may_name_one_file(self, data_dir, tmp_path, capsys):
+        m, link = tmp_path / "m.csv", tmp_path / "link.csv"
+        shutil.copy(data_dir / "trio_a.csv", m)
+        os.link(m, link)
+        code, out, _ = run(["network", str(m), str(link), "--out", str(tmp_path / "net.json")], capsys)
+        assert code == 0 and not out
+        vertices = json.loads((tmp_path / "net.json").read_text())["vertices"]
+        assert {m for v in vertices for m in v["metrics"]} == {"link", "m"}
 
     @pytest.mark.parametrize(
         "argv, path",
@@ -848,7 +915,24 @@ print(len(clusternets.__all__))
 """
         proc = fresh_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(clusternets.__all__) > 40
+        assert int(proc.stdout) == len(clusternets.__all__) == 36
+
+    def test_every_package_name_has_a_caller_outside_the_tests(self):
+        """An exported name is read by another module of the package or by the
+        README's library quick start; a name only tests call belongs in tests/oracles.py."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sources = [re.search(r"## Library quick start\s*```python\n(.*?)```", readme, re.DOTALL)[1]]
+        sources += [path.read_text() for path in (SRC / "clusternets").glob("*.py")
+                    if path.name != "__init__.py"]
+        used = set()
+        for node in (node for text in sources for node in ast.walk(ast.parse(text))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        assert sorted(set(clusternets.__all__) - used) == []
 
 
 CELLS = st.one_of(

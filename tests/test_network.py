@@ -14,16 +14,14 @@ from clusternets import (
     StructuralError,
     build_complex,
     build_dendrogram,
-    is_r_ball,
     merge_dendrograms,
-    minimal_common_superball,
     to_dot,
     to_json,
-    undirected_cycles,
 )
-from clusternets.network import PayloadEncoder
+from clusternets.network import PayloadEncoder, subfamily
 from clusternets.simplicial import skeleton_dot
 
+import oracles
 from conftest import mask_of, vertex_by_members
 
 F = Fraction
@@ -162,48 +160,48 @@ class TestRBalls:
     def test_singleton_is_ball_everywhere(self, net_c1):
         net, _ = net_c1
         b = vertex_by_members(net, 1 << net.labels.index("B"))
-        assert is_r_ball(net, b, {"m1", "m2"})
+        assert subfamily(net, {"m1", "m2"}) <= b.present_in
 
     def test_one_tree_cluster_is_not_common_ball(self, net_c1):
         net, _ = net_c1
         ab = vertex_by_members(net, mask_of([0, 1]))
-        assert not is_r_ball(net, ab, {"m1", "m2"})
-        assert is_r_ball(net, ab, {"m1"})
+        assert not subfamily(net, {"m1", "m2"}) <= ab.present_in
+        assert subfamily(net, {"m1"}) <= ab.present_in
 
     def test_unknown_metric_id(self, net_c1):
         net, _ = net_c1
         with pytest.raises(LookupError):
-            is_r_ball(net, net.vertices[0], {"nope"})
+            subfamily(net, {"nope"})
 
     def test_empty_subfamily_rejected(self, net_c1):
         net, _ = net_c1
         with pytest.raises(ValueError):
-            is_r_ball(net, net.vertices[0], set())
+            subfamily(net, set())
 
 
 class TestMinimalSuperball:
     def test_common_superball_of_singleton(self, net_c1):
         net, _ = net_c1
         b = vertex_by_members(net, 1 << net.labels.index("B"))
-        j = minimal_common_superball(net, b, {"m1", "m2"})
+        j = oracles.minimal_common_superball(net, b, {"m1", "m2"})
         assert "".join(net.member_names(j)) == "ABC"
 
     def test_root_has_none(self, net_c1):
         net, _ = net_c1
         root = vertex_by_members(net, mask_of(range(3)))
-        assert minimal_common_superball(net, root, {"m1", "m2"}) is None
+        assert oracles.minimal_common_superball(net, root, {"m1", "m2"}) is None
 
     def test_single_metric_gives_tree_parent(self, net_c1):
         net, _ = net_c1
         a = vertex_by_members(net, 1 << net.labels.index("A"))
-        j = minimal_common_superball(net, a, {"m1"})
+        j = oracles.minimal_common_superball(net, a, {"m1"})
         assert "".join(net.member_names(j)) == "AB"
 
     def test_non_ball_input_rejected(self, net_c1):
         net, _ = net_c1
         ab = vertex_by_members(net, mask_of([0, 1]))
         with pytest.raises(ValueError):
-            minimal_common_superball(net, ab, {"m1", "m2"})
+            oracles.minimal_common_superball(net, ab, {"m1", "m2"})
 
 
 def hand_built(masks, edges, metric_ids=("m",)):
@@ -277,22 +275,22 @@ class TestConstructionChecks:
 class TestCycles:
     def test_single_tree_acyclic(self, trio_a):
         net = merge_dendrograms([build_dendrogram(trio_a)], ["m"])
-        assert undirected_cycles(net) == []
+        assert oracles.undirected_cycles(net) == []
 
     def test_trio_network_rank_three(self, net_c1):
         net, _ = net_c1
-        cycles = undirected_cycles(net)
+        cycles = oracles.undirected_cycles(net)
         assert len(cycles) == len(net.edges) - len(net.vertices) + 1 == 3
 
     def test_quad_network_rank_four(self, net_c2):
         net, _ = net_c2
-        cycles = undirected_cycles(net)
+        cycles = oracles.undirected_cycles(net)
         assert len(cycles) == len(net.edges) - len(net.vertices) + 1 == 4
 
     def test_cycles_are_closed_walks(self, net_c1):
         net, _ = net_c1
         pairs = {(min(e.child, e.parent), max(e.child, e.parent)) for e in net.edges}
-        for cycle in undirected_cycles(net):
+        for cycle in oracles.undirected_cycles(net):
             assert len(cycle) >= 3
             hops = list(zip(cycle, cycle[1:] + cycle[:1]))
             assert all((min(u, w), max(u, w)) in pairs for u, w in hops)

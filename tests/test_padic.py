@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from clusternets import (
     Lattice,
     LatticeChain,
-    LatticeClass,
     NormSpec,
     StructuralError,
     ball_network,
-    basis_from_chain,
     enumerate_subspaces,
     flag_count,
     intermediary_balls,
-    is_adjacent,
     maximal_chains,
     network_dimension,
     norm_from_chain,
@@ -133,15 +130,24 @@ def _chain22():
         (lambda: verify_correspondence(2, 2, Q22[::-1]), "strictly increase; try 3/5,4/5$"),
         (lambda: ball_network(2, 3, Q22, window=1), "got 2 weights for dimension 3"),
         (lambda: ball_network(2, 2, Q22, window=0), "window must be at least 1, got 0"),
-        (lambda: Lattice.from_basis(2, []), "^no basis vectors$"),
-        (lambda: Lattice.from_basis(2, [(1, 0), (1,)]), "^basis vectors of unequal length$"),
+        (lambda: oracles.lattice_from_basis(2, []), "^no basis vectors$"),
+        (
+            lambda: oracles.lattice_from_basis(2, [(1, 0), (1,)]),
+            "^basis vectors of unequal length$",
+        ),
         (lambda: LatticeChain((STD22,)), "^chain needs at least two lattices$"),
         (
             lambda: LatticeChain((STD22.dilate(2), STD22.dilate(1), STD22)),
             r"^chain must run from p\.L up to L$",
         ),
-        (lambda: is_adjacent(STD22, Lattice.standard(3, 2)), "^lattices live in different spaces$"),
-        (lambda: is_adjacent(STD22, Lattice.standard(2, 3)), "^lattices live in different spaces$"),
+        (
+            lambda: oracles.is_adjacent(STD22, Lattice.standard(3, 2)),
+            "^lattices live in different spaces$",
+        ),
+        (
+            lambda: oracles.is_adjacent(STD22, Lattice.standard(2, 3)),
+            "^lattices live in different spaces$",
+        ),
         (
             lambda: NormSpec(2, Q22, identity_matrix(3)),
             "^frame matrix shape does not match weights$",
@@ -198,7 +204,7 @@ def test_a_norm_equals_no_other_type():
 def test_frame_and_basis_entries_follow_the_literal_rule(entry, message):
     calls = (
         lambda: NormSpec(2, Q22, ((entry, 0), (0, 1))),
-        lambda: Lattice.from_basis(2, [(entry, 0), (0, 1)]),
+        lambda: oracles.lattice_from_basis(2, [(entry, 0), (0, 1)]),
         lambda: oracles.contains_vector(Lattice.standard(2, 2), (entry, 0)),
     )
     for call in calls:
@@ -253,8 +259,8 @@ def test_points_of_the_wrong_length_are_refused_with_the_memo_cold_and_warm():
 
 def test_string_entries_are_read_as_rationals():
     assert NormSpec(2, Q22, (("1/2", 0), (0, 1))).rows == ((1, 0), (0, 2))
-    half = Lattice.from_basis(2, [(F(1, 2), 0), (0, 1)])
-    assert Lattice.from_basis(2, [("1/2", 0), (0, "1")]) == half
+    half = oracles.lattice_from_basis(2, [(F(1, 2), 0), (0, 1)])
+    assert oracles.lattice_from_basis(2, [("1/2", 0), (0, "1")]) == half
     assert oracles.contains_vector(Lattice.standard(2, 2), ("2/3", 0))
     assert not oracles.contains_vector(Lattice.standard(2, 2), ("1/2", 0))
     norm = diag_norm(2, Q22)
@@ -370,7 +376,7 @@ class TestNormKernelAgainstDefinition:
         calls.clear()
         norm = norm_from_chain(chain, Q23)
         assert calls == []  # the chain's norm holds its basis, not its frame
-        fs = basis_from_chain(chain)
+        fs = oracles.basis_from_chain(chain)
         frame = tuple(tuple(f[i] for f in fs) for i in range(3))
         assert [v for v, _ in norm.inverse_cols] == list(zip(*frame)) and calls == []
         assert norm.matrix == oracles.inverse_by_definition(frame)
@@ -434,7 +440,7 @@ class TestBallOfRadius:
 
     def test_intermediate_ball(self):
         got = oracles.ball_of_radius(diag_norm(2, Q22), F(3, 5))
-        assert got == Lattice.from_basis(2, [(1, 0), (0, 2)])
+        assert got == oracles.lattice_from_basis(2, [(1, 0), (0, 2)])
 
     def test_radius_scaled_by_inverse_p_dilates(self):
         n = diag_norm(2, Q22)
@@ -480,7 +486,7 @@ class TestIntermediaryBalls:
                 intermediary_balls(diag_norm(2, Q22), Lattice.standard(2, d))
 
     def test_non_ball_rejected(self):
-        skew = Lattice.from_basis(2, [(1, 1), (0, 4)])
+        skew = oracles.lattice_from_basis(2, [(1, 1), (0, 4)])
         with pytest.raises(ValueError, match="not a ball"):
             intermediary_balls(diag_norm(2, Q22), skew)
 
@@ -524,13 +530,13 @@ class TestIntermediaryBalls:
 
 class TestLatticeCanonicalForm:
     def test_gamma_invariance(self):
-        lat = Lattice.from_basis(2, [(2, 1), (0, 2)])
+        lat = oracles.lattice_from_basis(2, [(2, 1), (0, 2)])
         for k in (-2, -1, 1, 3):
-            assert LatticeClass.of(lat.dilate(k)) == LatticeClass.of(lat)
+            assert oracles.class_representative(lat.dilate(k)) == oracles.class_representative(lat)
 
     def test_class_representative_is_primitive(self):
-        lat = Lattice.from_basis(3, [(9, 0), (0, 27)])
-        rep = LatticeClass.of(lat).representative
+        lat = oracles.lattice_from_basis(3, [(9, 0), (0, 27)])
+        rep = oracles.class_representative(lat)
         vals = [pval(x, 3) for col in oracles.lattice_basis(rep) for x in col if x != 0]
         assert min(vals) == 0
 
@@ -548,7 +554,7 @@ class TestLatticeCanonicalForm:
                         tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d)
                     ]
                     try:
-                        lat = Lattice.from_basis(p, cols)
+                        lat = oracles.lattice_from_basis(p, cols)
                         break
                     except StructuralError:
                         continue
@@ -560,10 +566,10 @@ class TestLatticeCanonicalForm:
                         mixed[i] = [a + f * b for a, b in zip(mixed[i], mixed[j])]
                 unit = rng.choice([u for u in range(1, 8) if u % p])
                 mixed[0] = [unit * x for x in mixed[0]]
-                assert Lattice.from_basis(p, mixed) == lat
+                assert oracles.lattice_from_basis(p, mixed) == lat
 
     def test_membership(self):
-        lat = Lattice.from_basis(2, [(1, 1), (0, 2)])
+        lat = oracles.lattice_from_basis(2, [(1, 1), (0, 2)])
         assert oracles.contains_vector(lat, (1, 1))
         assert oracles.contains_vector(lat, (1, 3))
         assert not oracles.contains_vector(lat, (0, 1))
@@ -610,22 +616,22 @@ class TestHermiteAgainstDefinition:
                     basis, exps = oracles.hermite_by_definition(p, vectors)
                 except StructuralError:
                     with pytest.raises(StructuralError, match="full-rank"):
-                        Lattice.from_basis(p, vectors)
+                        oracles.lattice_from_basis(p, vectors)
                     outcomes["deficient"] += 1
                     continue
-                lat = Lattice.from_basis(p, vectors)
+                lat = oracles.lattice_from_basis(p, vectors)
                 assert (oracles.lattice_basis(lat), lat.exponents) == (basis, exps), vectors
                 assert lat.describe() == {
                     "diag_exponents": list(exps),
                     "basis_columns": [[str(x) for x in col] for col in basis],
                 }
-                assert Lattice.from_basis(p, basis) == lat
+                assert oracles.lattice_from_basis(p, basis) == lat
                 for k in range(-3, 4):
                     scaled = [[x * F(p) ** k for x in col] for col in basis]
                     got = lat.dilate(k)
                     want = oracles.hermite_by_definition(p, scaled)
                     assert (oracles.lattice_basis(got), got.exponents) == want
-                    rebuilt = Lattice.from_basis(p, scaled)
+                    rebuilt = oracles.lattice_from_basis(p, scaled)
                     assert got == rebuilt and hash(got) == hash(rebuilt)
                 for _ in range(8):
                     coeffs = [F(rng.randint(-9, 9), rng.choice((1, 1, p, 3 * p + 1))) for _ in basis]
@@ -651,15 +657,15 @@ class TestHermiteAgainstDefinition:
             for _ in range(30):
                 d = rng.randint(1, 4)
                 try:
-                    lat = Lattice.from_basis(p, hermite_input(rng, p, d))
+                    lat = oracles.lattice_from_basis(p, hermite_input(rng, p, d))
                 except StructuralError:
                     continue
                 for k in (-3, -1, 0, 1, 2):
                     scaled = lat.dilate(k)
                     cols = oracles.lattice_basis(scaled)
                     shift = min(pval(x, p) for col in cols for x in col if x != 0)
-                    rep = LatticeClass.of(scaled).representative
-                    assert rep == scaled.dilate(-shift) == LatticeClass.of(lat).representative
+                    rep = oracles.class_representative(scaled)
+                    assert rep == scaled.dilate(-shift) == oracles.class_representative(lat)
                     cols = oracles.lattice_basis(rep)
                     assert min(pval(x, p) for col in cols for x in col if x != 0) == 0
                     checked += 1
@@ -804,24 +810,24 @@ class TestAdjacency:
         std = Lattice.standard(2, 2)
         for k in oracles.lattices_between(std):
             if k != std and k != std.dilate(1):
-                assert is_adjacent(std, k)
-                assert is_adjacent(k, std)
+                assert oracles.is_adjacent(std, k)
+                assert oracles.is_adjacent(k, std)
 
     def test_self_not_adjacent(self):
         std = Lattice.standard(2, 2)
-        assert not is_adjacent(std, std)
-        assert not is_adjacent(std, std.dilate(5))
+        assert not oracles.is_adjacent(std, std)
+        assert not oracles.is_adjacent(std, std.dilate(5))
 
     def test_rescaled_intermediary_still_adjacent(self):
         std = Lattice.standard(2, 2)
-        mid = Lattice.from_basis(2, [(1, 0), (0, 2)])
-        assert is_adjacent(std, mid.dilate(2))
-        assert is_adjacent(mid.dilate(-3), std)
+        mid = oracles.lattice_from_basis(2, [(1, 0), (0, 2)])
+        assert oracles.is_adjacent(std, mid.dilate(2))
+        assert oracles.is_adjacent(mid.dilate(-3), std)
 
     def test_distant_lattice_not_adjacent(self):
         std = Lattice.standard(2, 2)
-        far = Lattice.from_basis(2, [(1, 0), (0, 4)])
-        assert not is_adjacent(std, far)
+        far = oracles.lattice_from_basis(2, [(1, 0), (0, 4)])
+        assert not oracles.is_adjacent(std, far)
 
 
 def mat_vec(m, v):
@@ -851,23 +857,23 @@ def independent_decomposition_check(chain, fs):
 class TestBasisFromChain:
     def test_standard_chain_coordinates(self):
         std = Lattice.standard(2, 2)
-        mid = Lattice.from_basis(2, [(1, 0), (0, 2)])
+        mid = oracles.lattice_from_basis(2, [(1, 0), (0, 2)])
         chain = LatticeChain((std.dilate(1), mid, std))
-        fs = basis_from_chain(chain)
+        fs = oracles.basis_from_chain(chain)
         assert fs == ((F(1), F(0)), (F(0), F(1)))
 
     def test_diagonal_line_chain_picks_the_line(self):
         std = Lattice.standard(2, 2)
-        diag = Lattice.from_basis(2, [(1, 1), (0, 2)])
+        diag = oracles.lattice_from_basis(2, [(1, 1), (0, 2)])
         chain = LatticeChain((std.dilate(1), diag, std))
-        fs = basis_from_chain(chain)
+        fs = oracles.basis_from_chain(chain)
         assert fs[0] == (F(1), F(1))
 
     def test_determinant_valuation_oracle(self):
         for p, d, _ in CASES:
             lat = Lattice.standard(p, d)
             for chain in maximal_chains(lat):
-                fs = basis_from_chain(chain)
+                fs = oracles.basis_from_chain(chain)
                 frame = [[fs[j][i] for j in range(d)] for i in range(d)]
                 det = _det(frame)
                 assert det != 0
@@ -876,25 +882,25 @@ class TestBasisFromChain:
     @pytest.mark.parametrize("p,d,q", CASES)
     def test_decomposition_all_chains(self, p, d, q):
         for chain in maximal_chains(Lattice.standard(p, d)):
-            independent_decomposition_check(chain, basis_from_chain(chain))
+            independent_decomposition_check(chain, oracles.basis_from_chain(chain))
 
     def test_permuted_coordinates_give_permuted_basis(self):
         std = Lattice.standard(2, 2)
         first = LatticeChain(
-            (std.dilate(1), Lattice.from_basis(2, [(1, 0), (0, 2)]), std)
+            (std.dilate(1), oracles.lattice_from_basis(2, [(1, 0), (0, 2)]), std)
         )
         second = LatticeChain(
-            (std.dilate(1), Lattice.from_basis(2, [(0, 1), (2, 0)]), std)
+            (std.dilate(1), oracles.lattice_from_basis(2, [(0, 1), (2, 0)]), std)
         )
-        fs1 = basis_from_chain(first)
-        fs2 = basis_from_chain(second)
+        fs1 = oracles.basis_from_chain(first)
+        fs2 = oracles.basis_from_chain(second)
         swap = tuple(tuple(reversed(f)) for f in fs1)
         assert fs2 == swap
 
     def test_non_maximal_chain_rejected(self):
         std = Lattice.standard(2, 2)
         with pytest.raises(ValueError, match="not maximal"):
-            basis_from_chain(LatticeChain((std.dilate(1), std)))
+            oracles.basis_from_chain(LatticeChain((std.dilate(1), std)))
 
 
 class TestAdaptedBasisAgainstDefinition:
@@ -903,7 +909,7 @@ class TestAdaptedBasisAgainstDefinition:
         chains = maximal_chains(Lattice.standard(p, d))
         assert len(chains) == flag_count(p, d)
         for chain in chains:
-            assert basis_from_chain(chain) == oracles.adapted_basis_by_definition(chain)
+            assert oracles.basis_from_chain(chain) == oracles.adapted_basis_by_definition(chain)
 
     @pytest.mark.parametrize(
         "p,vectors,scale",
@@ -914,12 +920,12 @@ class TestAdaptedBasisAgainstDefinition:
         ids=["non_diagonal_top", "top_with_scale"],
     )
     def test_chains_through_other_tops(self, p, vectors, scale):
-        top = Lattice.from_basis(p, vectors)
+        top = oracles.lattice_from_basis(p, vectors)
         assert top.scale == scale and any(x for col in top.cols for x in col[1:] if x)
         chains = maximal_chains(top)
         assert len(chains) == flag_count(p, 3)
         for chain in chains:
-            assert basis_from_chain(chain) == oracles.adapted_basis_by_definition(chain)
+            assert oracles.basis_from_chain(chain) == oracles.adapted_basis_by_definition(chain)
 
 
 def random_square(rng, d, kind):
@@ -1000,7 +1006,7 @@ class TestNormFromChain:
     def test_standard_chain_round_trip(self):
         std = Lattice.standard(2, 2)
         chain = LatticeChain(
-            (std.dilate(1), Lattice.from_basis(2, [(1, 0), (0, 2)]), std)
+            (std.dilate(1), oracles.lattice_from_basis(2, [(1, 0), (0, 2)]), std)
         )
         n = norm_from_chain(chain, Q22)
         assert intermediary_balls(n, std).lattices == chain.lattices
@@ -1008,7 +1014,7 @@ class TestNormFromChain:
     def test_diagonal_chain_frame(self):
         std = Lattice.standard(2, 2)
         chain = LatticeChain(
-            (std.dilate(1), Lattice.from_basis(2, [(1, 1), (0, 2)]), std)
+            (std.dilate(1), oracles.lattice_from_basis(2, [(1, 1), (0, 2)]), std)
         )
         n = norm_from_chain(chain, Q22)
         assert n.eval((1, 1)) == F(3, 5)

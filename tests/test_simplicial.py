@@ -11,7 +11,6 @@ from clusternets import (
     chain_to_superball,
     check_compatibility,
     merge_dendrograms,
-    minimal_common_superball,
     network_dimension,
 )
 from clusternets.cli import _network_from_paths
@@ -137,7 +136,7 @@ class TestSimplicesForPair:
     def test_single_metric_immediate_parent_one_edge(self, trio_a):
         net = merge_dendrograms([build_dendrogram(trio_a)], ["m"])
         a = vertex(net, "A")
-        j = minimal_common_superball(net, a, {"m"})
+        j = oracles.minimal_common_superball(net, a, {"m"})
         simplices = anchored_at(build_complex(net, {"m"}), a, j)
         assert len(simplices) == 1
         assert len(simplices[0].vertex_ids) == 2
@@ -204,7 +203,7 @@ class TestDimension:
     def test_single_metric_immediate_parent(self, trio_a):
         net = merge_dendrograms([build_dendrogram(trio_a)], ["m"])
         a = vertex(net, "A")
-        j = minimal_common_superball(net, a, {"m"})
+        j = oracles.minimal_common_superball(net, a, {"m"})
         rep = network_dimension(net, {"m"})
         assert pair_dimension(rep, a, j) == 1
         assert {dim for _, dim in rep.per_pair} == {1}
