@@ -7,7 +7,9 @@ timestamps in the payload), and every JSON payload is written by
 sort_keys=True)`. Run metadata can be emitted to a side file with
 --emit-meta, left only beside a run that exits 0. Exit codes: 0 success, 2
 bad input (a `StructuralError`, the one exception mapped to 2), 3 internal
-invariant violation. Errors go to stderr as one-line JSON. Each subcommand
+invariant violation. Errors go to stderr as one-line JSON carrying the
+exception's own text: only `main` and `_write_file` catch, and neither
+rewords a library error or reads its text to decide. Each subcommand
 imports only the layers it calls: `padic`, `phylo` and `simplicial` load on
 first use (`_bind`), so `dimension` never compiles the p-adic code.
 """
@@ -30,7 +32,7 @@ from .network import ClusterNetwork, PayloadEncoder, merge_dendrograms, subfamil
 _ROLES = (("out", "--out"), ("emit_meta", "--emit-meta"), ("matrices", "input matrix"),
           ("manifest", "manifest"), ("sweep_spec", "sweep spec"), ("marker_files", "marker file"))
 _LAYERS = {
-    "padic": ("ball_network", "default_weights", "norm_weights", "verify_correspondence"),
+    "padic": ("ball_network", "default_weights", "verify_correspondence"),
     "phylo": ("load_marker_bundle", "load_sweep_spec", "sweep"),
     "simplicial": ("build_complex", "check_compatibility", "complex_json_dict",
                    "dimension_json_dict", "network_dimension", "skeleton_dot"),
@@ -103,10 +105,7 @@ def _refuse_overwrite(args) -> None:
 def _parse_subfamily(arg: str | None, net: ClusterNetwork) -> frozenset[str]:
     if arg is None:
         return frozenset(net.metric_ids)
-    try:
-        return subfamily(net, {x for x in arg.split(",") if x})
-    except (ValueError, LookupError) as exc:
-        raise StructuralError(f"{exc}; available: {sorted(net.metric_ids)}") from None
+    return subfamily(net, {x for x in arg.split(",") if x})
 
 
 def cmd_network(args) -> str:
@@ -138,13 +137,7 @@ def cmd_padic_verify(args) -> str:
     if args.window < 0:
         raise StructuralError(f"window must be at least 0, got {args.window}")
     _bind("padic")
-    try:
-        weights = default_weights(args.p, args.d) if args.q is None else args.q.split(",")
-        q = norm_weights(args.p, args.d, weights)
-    except StructuralError as exc:
-        if args.q is None and str(exc).startswith("weight "):  # a default out of (1/p, 1]
-            raise StructuralError(f"{exc}; the default weights need d < p^2, so pass --q") from None
-        raise
+    q = default_weights(args.p, args.d) if args.q is None else args.q.split(",")
     report = verify_correspondence(args.p, args.d, q)
     report["parameters"]["precision"] = args.precision
     if args.window:
@@ -266,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except StructuralError as exc:
         _error_json(2, "input", str(exc))
         return 2
-    except Exception as exc:  # pragma: no cover - invariant violations
+    except Exception as exc:  # a fault in the program, never bad input
         _error_json(3, "internal", f"{type(exc).__name__}: {exc}")
         return 3
 

@@ -98,7 +98,7 @@ class ClusterNetwork:
         try:
             return self._parents[metric_id]
         except KeyError:
-            raise LookupError(f"unknown metric id {metric_id!r}") from None
+            raise StructuralError(f"unknown metric id {metric_id!r}") from None
 
     def member_names(self, v: NetworkVertex) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in mask_members(v.members))
@@ -149,13 +149,13 @@ def merge_dendrograms(dendros: list[Dendrogram], ids: list[str]) -> ClusterNetwo
 
 
 def subfamily(net: ClusterNetwork, r: frozenset[str] | set[str]) -> frozenset[str]:
-    """r as a frozenset, checked to be a nonempty set of the network's metric ids."""
+    """r as a frozenset, checked to be a nonempty set of the network's metric
+    ids; a `StructuralError` refusing it lists the ids there are."""
     r = frozenset(r)
-    if not r:
-        raise ValueError("empty metric subfamily")
     unknown = r - set(net.metric_ids)
-    if unknown:
-        raise LookupError(f"unknown metric ids {sorted(unknown)}")
+    if not r or unknown:
+        what = f"unknown metric ids {sorted(unknown)}" if r else "empty metric subfamily"
+        raise StructuralError(f"{what}; available: {sorted(net.metric_ids)}")
     return r
 
 

@@ -559,8 +559,9 @@ class NormSpec:
             return value
 
 
-def intermediary_balls(norm: NormSpec, lattice: Lattice) -> LatticeChain:
-    """Maximal chain of N-balls between p.L and L, read off the weights.
+def intermediary_balls(norm: NormSpec, lattice: Lattice) -> LatticeChain | None:
+    """Maximal chain of N-balls between p.L and L, read off the weights, or
+    None when L is no ball of N: that is an answer, not an error.
 
     If L = ball(R), the balls change only at norm values, and each weight
     q_i takes exactly one value q_i p^(-k_i) in (R/p, R]. The chain is
@@ -583,7 +584,7 @@ def intermediary_balls(norm: NormSpec, lattice: Lattice) -> LatticeChain:
     for level, qi, gen in gens:  # None once a residue adds nothing
         rows = balls[level, qi] = None if rows is None else _echelon(p, rows, gen)
     if rows is None or gens[0][:2] <= (gens[-1][0] - 1, gens[-1][1]):  # least value <= R/p
-        raise ValueError("lattice is not a ball of this norm")
+        return None
     lifts = (_lift_subspace(lattice, r) for r in list(balls.values())[:-1])
     return LatticeChain((lattice.dilate(1), *lifts, lattice))
 
@@ -604,7 +605,8 @@ def _adapted_residues(chain: LatticeChain) -> tuple[list[frozenset], list[tuple[
     its adapted basis, in the top lattice's coordinates; see `_adapted_basis`."""
     top, d = chain.top, chain.top.dimension
     if not chain.is_maximal():
-        raise ValueError(f"chain of {len(chain.lattices)} lattices is not maximal in dimension {d}")
+        raise StructuralError(
+            f"chain of {len(chain.lattices)} lattices is not maximal in dimension {d}")
     spans = [_residue_span(top, lat) for lat in chain.lattices[:-1]]
     ws = [min(big - small) for small, big in zip(spans, spans[1:])]
     units = (tuple(int(i == k) for i in range(d)) for k in reversed(range(d)))
@@ -641,10 +643,11 @@ def norm_from_chain(chain: LatticeChain, q: Sequence) -> NormSpec:
 
 def default_weights(p: int, d: int) -> tuple[Fraction, ...]:
     """(p+i)/(p+d) for i = 1..d: strictly increasing, in (1/p, 1] only for d < p^2.
-    The least goes through `norm_weights` first, so d >= p^2 is refused at once."""
+    d >= p^2 is refused on the least, (p+1)/(p+d) <= 1/p, before any is built."""
     require_prime(p)
-    if d > 0:
-        norm_weights(p, 1, [Fraction(p + 1, p + d)])
+    if d >= p * p:
+        raise StructuralError(f"weight {Fraction(p + 1, p + d)} outside (1/{p}, 1]; "
+                              "the default weights need d < p^2, so pass --q")
     return tuple(Fraction(p + i, p + d) for i in range(1, d + 1))
 
 
@@ -681,11 +684,8 @@ def verify_correspondence(p: int, d: int, q: Sequence) -> dict:
     described = {lat: lat.describe() for lat in {lat for c in chains for lat in c.lattices}}
     results, passed, ball_chains = [], 0, set()
     for idx, chain in enumerate(chains):
-        norm = norm_from_chain(chain, qs)
-        try:
-            balls = intermediary_balls(norm, lattice).lattices
-        except ValueError:  # the top is not a ball of the chain's norm: it counts as its own
-            balls = idx
+        found = intermediary_balls(norm_from_chain(chain, qs), lattice)
+        balls = idx if found is None else found.lattices  # a top that is no ball counts as its own
         ok = balls == chain.lattices
         passed += ok
         ball_chains.add(balls)

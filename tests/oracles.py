@@ -816,10 +816,11 @@ def ball_radius_by_hermite(norm, lattice):
 
 def intermediary_balls_by_hermite(norm, lattice):
     """ball(R/p) = p.L, the ball of each value q_i.p^(-k_i) in (R/p, R)
-    (`ball_of_radius`, a Hermite form each), then L = ball(R)."""
+    (`ball_of_radius`, a Hermite form each), then L = ball(R); None when L
+    is no ball, as in `padic.intermediary_balls`."""
     radius = ball_radius_by_hermite(norm, lattice)
     if radius is None:
-        raise ValueError("lattice is not a ball of this norm")
+        return None
     p = norm.p
     values = {qi * Fraction(p) ** -min_exponent_with(p, qi, radius) for qi in norm.q}
     radii = sorted(values - {radius} | {radius / p})
@@ -829,12 +830,14 @@ def intermediary_balls_by_hermite(norm, lattice):
 def round_trip_by_hermite(chain, q) -> bool:
     """Whether the ball chain of the chain's norm through its top is the
     chain, every lattice compared by its Hermite form; a top that is not a
-    ball of the norm is a failed round trip, as in `verify_correspondence`."""
+    ball of the norm is a failed round trip, as in `verify_correspondence`,
+    and so is a corrupted basis whose forms lose rank."""
     try:
         norm = norm_from_chain_by_hermite(chain, q)
-        return intermediary_balls_by_hermite(norm, chain.top).lattices == chain.lattices
-    except ValueError:
+    except StructuralError:
         return False
+    balls = intermediary_balls_by_hermite(norm, chain.top)
+    return balls is not None and balls.lattices == chain.lattices
 
 
 def round_trip_disagreements(p: int, d: int, q) -> list[int]:

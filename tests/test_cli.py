@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import clusternets
-from clusternets.cli import main
-from clusternets.padic import verify_correspondence
+from clusternets import StructuralError, padic
+from clusternets.cli import _network_from_paths, main
+from clusternets.network import subfamily
+from clusternets.padic import default_weights, verify_correspondence
 
 SCHEMAS = Path(clusternets.__file__).parent / "schemas"
 SRC = Path(clusternets.__file__).parents[1]
@@ -355,6 +357,22 @@ class TestPadicVerify:
             "weight 1/333334 outside (1/2, 1]; the default weights need d < p^2, so pass --q"
         )
 
+    def test_fault_in_the_ball_side_exits_3(self, capsys, monkeypatch):
+        """A fault inside `intermediary_balls` is no top that fails to be a
+        ball: it ends the run, not one round trip."""
+
+        def broken(*args):
+            raise ValueError("forced fault")
+
+        monkeypatch.setattr(padic, "_echelon", broken)
+        with pytest.raises(ValueError, match="^forced fault$"):
+            verify_correspondence(2, 3, ("5/8", "3/4", "7/8"))
+        code, out, err = run(["padic-verify", "--p", "2", "--d", "3", "--q", "5/8,3/4,7/8"], capsys)
+        assert code == 3 and not out and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "code": 3, "kind": "internal", "message": "ValueError: forced fault",
+        }
+
     def test_61_bit_prime_runs(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(
@@ -395,6 +413,36 @@ class TestPadicVerify:
         )
         assert code == 2
         assert "3/5,4/5" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "refuse, argv",
+    [
+        (lambda net: subfamily(net, set()), ["dimension", "{trio_a}", "--r", ","]),
+        (lambda net: subfamily(net, {"nope"}), ["dimension", "{trio_a}", "--r", "nope"]),
+        (lambda net: default_weights(2, 4), ["padic-verify", "--p", "2", "--d", "4"]),
+    ],
+    ids=["empty-subfamily", "unknown-subfamily", "default-weights"],
+)
+def test_library_and_cli_word_a_refusal_alike(refuse, argv, data_dir, capsys):
+    """The library's `StructuralError` is the CLI's message, byte for byte."""
+    trio_a = str(data_dir / "trio_a.csv")
+    with pytest.raises(StructuralError) as refused:
+        refuse(_network_from_paths([trio_a]))
+    code, out, err = run([a.format(trio_a=trio_a) for a in argv], capsys)
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["message"] == str(refused.value)
+
+
+def test_cli_catches_only_in_main_and_write_file():
+    """No other function of cli.py catches, so none rewords a library error."""
+    tree = ast.parse((SRC / "clusternets" / "cli.py").read_text())
+    allowed = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+               and f.name in ("main", "_write_file")]
+    inside = {id(n) for f in allowed for n in ast.walk(f) if isinstance(n, ast.ExceptHandler)}
+    stray = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.ExceptHandler) and id(n) not in inside]
+    assert len(allowed) == 2 and inside and stray == []
 
 
 class TestPhyloSweep:

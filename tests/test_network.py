@@ -170,12 +170,12 @@ class TestRBalls:
 
     def test_unknown_metric_id(self, net_c1):
         net, _ = net_c1
-        with pytest.raises(LookupError):
+        with pytest.raises(StructuralError):
             subfamily(net, {"nope"})
 
     def test_empty_subfamily_rejected(self, net_c1):
         net, _ = net_c1
-        with pytest.raises(ValueError):
+        with pytest.raises(StructuralError):
             subfamily(net, set())
 
 
@@ -268,7 +268,7 @@ class TestConstructionChecks:
         net, _ = net_c1
         a, ab = (vertex_by_members(net, mask_of(ix)) for ix in ([0], [0, 1]))
         assert net.parent_ids("m1")[a.vertex_id] == ab.vertex_id
-        with pytest.raises(LookupError):
+        with pytest.raises(StructuralError):
             net.parent_ids("nope")
 
 

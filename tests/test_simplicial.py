@@ -6,6 +6,7 @@ import pytest
 
 from clusternets import (
     DistanceMatrix,
+    StructuralError,
     build_complex,
     build_dendrogram,
     chain_to_superball,
@@ -101,7 +102,7 @@ class TestIntermediaryChain:
         assert [names(net_c1, net_c1.vertices[i]) for i in chain] == ["B", "BC", "ABC"]
 
     def test_unknown_metric_rejected(self, net_c1):
-        with pytest.raises(LookupError):
+        with pytest.raises(StructuralError):
             chain_to_superball(net_c1, vertex(net_c1, "B").vertex_id, {"m1"}, "nope")
 
 
@@ -236,9 +237,9 @@ class TestDimension:
         assert network_dimension(net_c1, {"m1", "m2"}).overall == 2
         assert build_complex(net_c1, {"m1"}).simplices
         assert len(checked) == 2
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(StructuralError, match="empty"):
             network_dimension(net_c1, set())
-        with pytest.raises(LookupError, match="nope"):
+        with pytest.raises(StructuralError, match="nope"):
             build_complex(net_c1, {"m1", "nope"})
 
 
